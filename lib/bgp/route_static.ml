@@ -1570,65 +1570,100 @@ let of_snapshot g s =
 module Dirty = struct
   type statics = t
 
-  type t = { statics : statics; flags : Bytes.t }
+  (* One byte per destination. [pending] is an origin that
+     participates and whose own byte did not change: it is dirty iff
+     some changed node is reachable in its static info, which
+     [resolve] decides on a record the caller already holds. *)
+  let clean = '\000'
+  let dirty = '\001'
+  let pending = '\002'
+
+  type t = {
+    statics : statics;
+    flags : Bytes.t;
+    in_changed : Bytes.t;  (* '\001' at every node of [changed] *)
+    mutable changed : int list;
+    mutable changed_count : int;
+  }
 
   let create statics =
-    { statics; flags = Bytes.make (Graph.n statics.g) '\001' }
+    let n = Graph.n statics.g in
+    {
+      statics;
+      flags = Bytes.make n dirty;
+      in_changed = Bytes.make n '\000';
+      changed = [];
+      changed_count = 0;
+    }
 
-  let is_dirty t d = Bytes.get t.flags d = '\001'
-  let mark t d = Bytes.set t.flags d '\001'
+  let mark t d = Bytes.set t.flags d dirty
 
   let invalidate t ~changed ~secure =
-    if changed <> [] then begin
-      let n = Graph.n t.statics.g in
-      let in_changed = Bytes.make n '\000' in
-      let changed_count = List.length changed in
-      List.iter (fun c -> Bytes.set in_changed c '\001') changed;
-      (* Under a byte budget, evicted records stream through a local
-         builder ([get] would compute-and-insert, churning the very
-         budget the caller set); forced lazily — unbounded stores and
-         all-resident scans never build it. *)
-      let bd = lazy (make_builder n) in
-      for d = 0 to n - 1 do
-        if Bytes.get t.flags d = '\000' then
-          if Bytes.get in_changed d = '\001' then Bytes.set t.flags d '\001'
-          else if Bytes.get secure d = '\001' then begin
-            (* The origin participates, so routes towards it can be
-               secure: any reachable changed byte may flip a route's
-               security or a security tie-break. An origin that does
-               not participate (and whose own bytes are unchanged) has
-               no secure routes before or after — its tree only reads
-               static preferences, so it stays clean. Scan whichever
-               of the changed set and the destination's reachable
-               order is smaller. *)
-            let info =
-              if bounded t.statics then stream_get t.statics (Lazy.force bd) d
-              else get t.statics d
-            in
-            let nreach = I32.length info.order in
-            let hit =
-              if changed_count <= nreach then
-                List.exists (fun c -> reachable info c) changed
-              else begin
-                let rec scan k =
-                  k < nreach
-                  && (Bytes.unsafe_get in_changed (I32.unsafe_get info.order k)
-                      = '\001'
-                     || scan (k + 1))
-                in
-                scan 0
-              end
-            in
-            if hit then Bytes.set t.flags d '\001'
-          end
-      done
+    List.iter (fun c -> Bytes.set t.in_changed c '\000') t.changed;
+    List.iter (fun c -> Bytes.set t.in_changed c '\001') changed;
+    t.changed <- changed;
+    t.changed_count <- List.length changed;
+    let any = changed <> [] in
+    for d = 0 to Bytes.length t.flags - 1 do
+      let f = Bytes.get t.flags d in
+      (* A destination still pending from an earlier call was decided
+         against that call's changed set, which is gone: keep it
+         conservatively dirty. *)
+      if f = pending then Bytes.set t.flags d dirty
+      else if any && f = clean then
+        if Bytes.get t.in_changed d = '\001' then Bytes.set t.flags d dirty
+        else if Bytes.get secure d = '\001' then
+          (* The origin participates, so routes towards it can be
+             secure: any reachable changed byte may flip a route's
+             security or a security tie-break. An origin that does not
+             participate (and whose own bytes are unchanged) has no
+             secure routes before or after — its tree only reads
+             static preferences, so it stays clean. *)
+          Bytes.set t.flags d pending
+    done
+
+  (* Scan whichever of the changed set and the destination's
+     reachable order is smaller. *)
+  let reaches_changed t info =
+    let nreach = I32.length info.order in
+    if t.changed_count <= nreach then List.exists (fun c -> reachable info c) t.changed
+    else begin
+      let rec scan k =
+        k < nreach
+        && (Bytes.unsafe_get t.in_changed (I32.unsafe_get info.order k) = '\001'
+           || scan (k + 1))
+      in
+      scan 0
     end
 
-  let reset t = Bytes.fill t.flags 0 (Bytes.length t.flags) '\000'
+  let resolve t d info =
+    if Bytes.get t.flags d = pending then
+      Bytes.set t.flags d (if reaches_changed t info then dirty else clean)
+
+  (* The serial read path: under a byte budget, evicted records stream
+     through [bd] ([get] would compute-and-insert, churning the very
+     budget the caller set); unbounded stores never force it. *)
+  let fetch_serial t bd d =
+    if bounded t.statics then stream_get t.statics (Lazy.force bd) d else get t.statics d
+
+  let is_dirty ?fetch t d =
+    if Bytes.get t.flags d = pending then
+      resolve t d
+        (match fetch with
+        | Some f -> f ()
+        | None -> fetch_serial t (lazy (make_builder (Bytes.length t.flags))) d);
+    Bytes.get t.flags d = dirty
+
+  let reset t = Bytes.fill t.flags 0 (Bytes.length t.flags) clean
 
   let dirty_count t =
+    let n = Bytes.length t.flags in
+    let bd = lazy (make_builder n) in
     let acc = ref 0 in
-    Bytes.iter (fun c -> if c = '\001' then incr acc) t.flags;
+    for d = 0 to n - 1 do
+      if Bytes.get t.flags d = pending then resolve t d (fetch_serial t bd d);
+      if Bytes.get t.flags d = dirty then incr acc
+    done;
     !acc
 end
 

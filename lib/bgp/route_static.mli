@@ -332,7 +332,19 @@ val rebase_changed : journal -> int list
     unreachable in [d]'s static info cannot alter the tree; and if the
     origin [d] itself does not participate, no route towards it is
     ever fully secure, so flips elsewhere cannot alter the tree
-    either. *)
+    either.
+
+    Deciding reachability needs [d]'s statics record, which under a
+    byte budget may have to be rebuilt. So the check is split:
+    {!invalidate} is an O(n) marking pass that reads no statics and
+    leaves each candidate destination {e pending}; {!resolve} (or
+    {!is_dirty} with [~fetch]) decides a pending destination on a
+    record the caller fetches anyway — inside a parallel sweep, the
+    one fetch per destination the sweep already makes. Resolution
+    writes only [d]'s own flag byte and reads the changed set, which
+    is immutable until the next {!invalidate}; so workers may resolve
+    distinct destinations concurrently, and resolving twice is a
+    no-op. *)
 module Dirty : sig
   type statics := t
 
@@ -342,14 +354,22 @@ module Dirty : sig
   (** All destinations start dirty (nothing cached yet). *)
 
   val invalidate : t -> changed:int list -> secure:Bytes.t -> unit
-  (** Mark every destination [d] with [d] itself in [changed] (a list
-      of nodes whose participation or tie-break byte flipped), or with
-      a participating origin ([secure.[d] = '\001'], the post-change
-      participation bytes) and some node of [changed] reachable.
-      Conservative: may mark a destination whose tree happens not to
-      change, never misses one that does. Reads the statics store (and
-      may force entries); per destination it scans the smaller of the
-      changed set and the reachable order. *)
+  (** Record [changed] (the nodes whose participation or tie-break
+      byte flipped) as the set pending destinations resolve against,
+      and mark every clean destination [d]: dirty if [d] itself is in
+      [changed]; pending if its origin participates
+      ([secure.[d] = '\001'], the post-change participation bytes) and
+      [changed] is non-empty; clean otherwise. Destinations still
+      pending from an earlier call become dirty. Reads no statics;
+      O(n + |changed|). *)
+
+  val resolve : t -> int -> dest_info -> unit
+  (** [resolve t d info], with [info] destination [d]'s statics
+      record: a pending [d] becomes dirty iff some node of the changed
+      set is reachable in [info] (scanning the smaller of the changed
+      set and [info]'s order), clean otherwise. No-op unless [d] is
+      pending. Conservative: may mark a destination whose tree happens
+      not to change, never misses one that does. *)
 
   val reset : t -> unit
   (** Mark every destination clean (call once the consumer has
@@ -360,8 +380,18 @@ module Dirty : sig
       churn, where the destination's static info (not just the
       deployment state) changed. *)
 
-  val is_dirty : t -> int -> bool
+  val is_dirty : ?fetch:(unit -> dest_info) -> t -> int -> bool
+  (** Whether [d] must be recomputed, resolving it first if pending:
+      on [fetch ()] when given (which must return [d]'s record), else
+      on a serial read of the store — a private builder for an
+      evicted record under a budget, so the budget's resident set is
+      not churned. Without [fetch], not safe to call concurrently. *)
+
   val dirty_count : t -> int
+  (** The number of dirty destinations, resolving any still-pending
+      ones serially through one builder. Once every destination has
+      been resolved (a completed sweep), a pure byte count that reads
+      no statics. *)
 end
 
 val mean_tiebreak_size : t -> among:(int -> bool) -> float

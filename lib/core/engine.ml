@@ -33,8 +33,7 @@ let m_dirty_hist =
 let m_round_ms =
   lazy
     (Nsobs.Metrics.histogram ~help:"wall time per round (ms)"
-       ~buckets:[| 1.; 5.; 10.; 50.; 100.; 500.; 1000.; 5000. |]
-       "engine_round_ms")
+       ~buckets:Nsobs.Metrics.duration_ms_buckets "engine_round_ms")
 let m_statics_hits =
   lazy (Nsobs.Metrics.counter ~help:"route-statics store hits" "statics_hit_total")
 let m_statics_misses =
@@ -68,28 +67,27 @@ let m_checkpoint_skips =
        ~help:"checkpoint writes skipped on I/O failure under the degradation ladder"
        "engine_checkpoint_skips_total")
 
-(* Per-phase wall-time histograms (tentpole c): observed around the
-   existing trace spans, same sites, same guard discipline. Bucket
-   grid shared across phases so dashboards can overlay them. *)
-let phase_buckets = [| 0.1; 0.5; 1.; 5.; 10.; 50.; 100.; 500.; 1000.; 5000. |]
-
+(* Per-phase wall-time histograms: observed around the existing trace
+   spans, same sites, same guard discipline. One log-scale bucket
+   ladder for every phase and the round, so dashboards can overlay
+   them and paper-scale rounds do not overflow. *)
 let m_probe_ms =
   lazy
     (Nsobs.Metrics.histogram ~help:"flip byte-delta capture per round (ms)"
-       ~buckets:phase_buckets "engine_probe_ms")
+       ~buckets:Nsobs.Metrics.duration_ms_buckets "engine_probe_ms")
 let m_sweep_ms =
   lazy
     (Nsobs.Metrics.histogram
-       ~help:"parallel sweep (dirty recompute + flip repair) per round (ms)"
-       ~buckets:phase_buckets "engine_sweep_ms")
+       ~help:"parallel sweep (dirty check + recompute, flip repair) per round (ms)"
+       ~buckets:Nsobs.Metrics.duration_ms_buckets "engine_sweep_ms")
 let m_reduce_ms =
   lazy
     (Nsobs.Metrics.histogram ~help:"serial deterministic reduction per round (ms)"
-       ~buckets:phase_buckets "engine_reduce_ms")
+       ~buckets:Nsobs.Metrics.duration_ms_buckets "engine_reduce_ms")
 let m_statics_build_ms =
   lazy
     (Nsobs.Metrics.histogram ~help:"statics store prefill (ms)"
-       ~buckets:phase_buckets "statics_build_ms")
+       ~buckets:Nsobs.Metrics.duration_ms_buckets "statics_build_ms")
 let m_current_round =
   lazy
     (Nsobs.Metrics.gauge ~help:"round currently executing" "engine_current_round")
@@ -702,7 +700,10 @@ let run_internal ~checkpoint ~sink ~faults ~digest ~resume_from (cfg : Config.t)
               byte budget, means never recomputing an evicted row.
               [stream_get] may return a transient record (valid until
               this worker's next fetch, i.e. for the rest of this
-              task), so the fetch must happen at most once per task. *)
+              task), so the fetch must happen at most once per task.
+              A destination [begin_round] left pending resolves its
+              dirty check on this same fetch, so its record is built
+              once per round, here, inside the parallel sweep. *)
            let info_slot = ref None in
            let fetch_info () =
              match !info_slot with
@@ -713,7 +714,7 @@ let run_internal ~checkpoint ~sink ~faults ~digest ~resume_from (cfg : Config.t)
                  info
            in
            let e =
-             if Incremental.is_dirty inc d then begin
+             if Incremental.is_dirty ~fetch:fetch_info inc d then begin
                let info = fetch_info () in
                Forest.compute info ~tiebreak ~secure:ws.ws_sec ~use_secp:ws.ws_secp
                  ~weight ws.ws_base;

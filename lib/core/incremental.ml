@@ -95,7 +95,7 @@ let begin_round t state =
   end;
   State.mark state
 
-let is_dirty t d = Route_static.Dirty.is_dirty t.dirty d
+let is_dirty ?fetch t d = Route_static.Dirty.is_dirty ?fetch t.dirty d
 let dirty_count t = Route_static.Dirty.dirty_count t.dirty
 
 let pack_sec_path sec_path =

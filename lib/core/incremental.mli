@@ -10,17 +10,28 @@
     byte-for-byte unchanged from the previous round and need no
     recomputation ({!Bgp.Route_static.Dirty}).
 
-    Protocol, per round: {!begin_round} (diffs the state against the
-    previous round via {!State.mark}, marks the affected destinations
-    dirty); for every dirty destination recompute the forest and
-    {!store} its entry; read {!entry} for every destination. Entries
-    of clean destinations replay bit-identically: the cached addend
-    stream ({!Utility.contribution_pairs}) performs the same float
-    additions the from-scratch sweep would.
+    Protocol, per round: {!begin_round} diffs the state against the
+    previous round via {!State.mark} and marks destinations without
+    reading any statics — dirty if their own byte changed, pending if
+    their origin participates (so a changed node reachable from them
+    could alter the tree). The sweep then asks {!is_dirty} of every
+    destination, passing the closure that fetches the destination's
+    statics record: a pending destination is resolved on that record
+    ({!Bgp.Route_static.Dirty.resolve}), the one fetch the sweep makes
+    anyway, so no record is built twice in a round. For every dirty
+    destination recompute the forest and {!store} its entry; read
+    {!entry} for every destination. Entries of clean destinations
+    replay bit-identically: the cached addend stream
+    ({!Utility.contribution_pairs}) performs the same float additions
+    the from-scratch sweep would.
 
-    Safe to drive from {!Parallel.Pool} workers: [store] writes only
-    slot [d], distinct destinations go to distinct workers, and reads
-    of clean entries see values published before the round's fork. *)
+    Safe to drive from {!Parallel.Pool} workers: [is_dirty] and
+    [store] write only destination [d]'s flag byte and slot, distinct
+    destinations go to distinct workers, the round's changed set is
+    not written during the sweep, and reads of clean entries see
+    values published before the round's fork. A re-run of the sweep
+    (supervision, the degradation ladder) finds every flag it already
+    resolved and decides it the same way. *)
 
 type entry = private {
   sec_bits : Bytes.t;
@@ -49,10 +60,11 @@ val make_scratch : t -> scratch
 
 val begin_round : t -> State.t -> unit
 (** Mark destinations whose forest can change given the state's byte
-    diff since the previous call (plus any destinations queued by
-    {!note_churn}), then re-mark the state. The first call leaves
-    everything dirty. Call once per round, before the sweep, with the
-    state at its round-start value. *)
+    diff since the previous call — dirty, or pending until
+    {!is_dirty} resolves them — plus any destinations queued by
+    {!note_churn}, then re-mark the state. Reads no statics: O(n).
+    The first call leaves everything dirty. Call once per round,
+    before the sweep, with the state at its round-start value. *)
 
 val note_churn : t -> changed:int list -> unit
 (** Queue destinations whose *static* info changed under a topology
@@ -66,8 +78,18 @@ val note_churn : t -> changed:int list -> unit
     [Invalid_argument] if the store's graph no longer matches the
     cache's node count (a growing delta requires a fresh {!create}). *)
 
-val is_dirty : t -> int -> bool
+val is_dirty : ?fetch:(unit -> Bgp.Route_static.dest_info) -> t -> int -> bool
+(** Whether destination [d] must be recomputed this round. A pending
+    [d] is resolved on [fetch ()], which must return [d]'s statics
+    record (the sweep passes its once-per-task fetch); without
+    [fetch], on a serial store read ({!Bgp.Route_static.Dirty.is_dirty}),
+    which is not safe to call concurrently. *)
+
 val dirty_count : t -> int
+(** Dirty destinations this round. Resolves still-pending ones
+    serially through one builder; after a sweep that asked
+    {!is_dirty} of every destination, a pure byte count with no store
+    reads. *)
 
 val store :
   t ->

@@ -24,8 +24,7 @@ module Faults = Nsutil.Faults
 let m_rebase_ms =
   lazy
     (Nsobs.Metrics.histogram ~help:"statics store churn rebase (ms)"
-       ~buckets:[| 0.1; 0.5; 1.; 5.; 10.; 50.; 100.; 500.; 1000.; 5000. |]
-       "statics_rebase_ms")
+       ~buckets:Nsobs.Metrics.duration_ms_buckets "statics_rebase_ms")
 
 type params = {
   epochs : int;

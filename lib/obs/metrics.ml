@@ -72,6 +72,8 @@ let gauge ?(help = "") name =
     (function G g -> Some g | _ -> None)
     "gauge"
 
+let duration_ms_buckets = Array.init 24 (fun k -> Float.ldexp 1.0 (k - 3))
+
 let histogram ?(help = "") ~buckets name =
   if Array.length buckets = 0 then
     invalid_arg "Metrics.histogram: at least one bucket bound required";

@@ -29,6 +29,13 @@ val histogram : ?help:string -> buckets:float array -> string -> histogram
     bucket is implicit. An observation lands in the first bucket
     whose bound is [>=] the value (Prometheus [le] semantics). *)
 
+val duration_ms_buckets : float array
+(** The one bucket ladder for wall-time histograms in milliseconds:
+    the powers of two from 2{^-3} ms to 2{^20} ms (~17.5 minutes), so
+    a paper-scale round of ~855 s lands in a finite bucket and
+    {!quantile} does not clamp it. Histograms copy their bounds, so
+    the array is safe to share. *)
+
 val inc : counter -> unit
 val add : counter -> int -> unit
 (** Raises [Invalid_argument] on a negative delta: counters only go up. *)

@@ -65,6 +65,26 @@ let test_histogram_buckets () =
     (Invalid_argument "Metrics.histogram: bucket bounds must be strictly ascending")
     (fun () -> ignore (Metrics.histogram ~buckets:[| 2.0; 1.0 |] "obs_test_bad"))
 
+(* Every wall-time histogram (engine phases, rounds, statics
+   rebase) shares one log-scale ladder that must reach paper-scale
+   rounds — ~855 s at 36K ASes — without clamping their quantiles. *)
+let test_duration_ladder () =
+  Metrics.set_enabled true;
+  let b = Metrics.duration_ms_buckets in
+  let top = b.(Array.length b - 1) in
+  check Alcotest.bool "top bound reaches 2^20 ms" true (top >= 1048576.0);
+  Array.iteri
+    (fun i x ->
+      if i > 0 then check (Alcotest.float 0.0) "bounds double" (2.0 *. b.(i - 1)) x)
+    b;
+  let h = Metrics.histogram ~buckets:b "obs_test_round_ms" in
+  List.iter (Metrics.observe h) [ 0.2; 800_000.0; 855_000.0; 900_000.0 ];
+  match Metrics.quantile h 0.99 with
+  | None -> Alcotest.fail "no quantile"
+  | Some q ->
+      check Alcotest.bool "p99 of 855 s rounds is not clamped" true
+        (q > 524288.0 && q < top)
+
 let test_disabled_is_inert () =
   (* With the registry off, handles exist but updates are dropped —
      the contract instrumented code relies on. *)
@@ -673,6 +693,7 @@ let () =
         [
           tc "counter basics" test_counter_basics;
           tc "histogram bucket boundaries" test_histogram_buckets;
+          tc "duration ladder reaches paper-scale rounds" test_duration_ladder;
           tc "disabled registry is inert" test_disabled_is_inert;
           tc "prometheus exposition" test_prometheus_exposition;
           tc "prometheus exposition golden file" test_prometheus_golden;

@@ -83,6 +83,20 @@ let test_gitignore_covers_generated_artifacts () =
           generated_patterns
       end
 
+(* Test fixtures that share an artifact's extension are re-included
+   by a [!path] line in .gitignore; those, and only those, may be
+   tracked. *)
+let gitignore_exceptions root =
+  let path = Filename.concat root ".gitignore" in
+  if not (Sys.file_exists path) then []
+  else
+    In_channel.with_open_text path In_channel.input_lines
+    |> List.filter_map (fun line ->
+           let line = String.trim line in
+           if String.length line > 1 && line.[0] = '!' then
+             Some (String.sub line 1 (String.length line - 1))
+           else None)
+
 let test_no_tracked_generated_artifacts () =
   match find_root (Sys.getcwd ()) with
   | None -> ()
@@ -94,7 +108,121 @@ let test_no_tracked_generated_artifacts () =
       with
       | None -> ()
       | Some files ->
-          Alcotest.(check (list string)) "tracked generated artifacts" [] files)
+          let fixtures = gitignore_exceptions root in
+          Alcotest.(check (list string)) "tracked generated artifacts" []
+            (List.filter (fun f -> not (List.mem f fixtures)) files))
+
+(* Every file a dune stanza depends on — an atom of a [(deps ...)]
+   field or a [%{dep:...}] form — must be tracked, or a fresh checkout
+   cannot build that stanza. Dune files are read as s-expressions:
+   atoms, quoted strings, lists, [;] comments. *)
+type sexp = Atom of string | List of sexp list
+
+let parse_sexps text =
+  let len = String.length text in
+  let rec skip i =
+    if i >= len then i
+    else
+      match text.[i] with
+      | ' ' | '\t' | '\n' | '\r' -> skip (i + 1)
+      | ';' -> (
+          match String.index_from_opt text i '\n' with
+          | Some j -> skip (j + 1)
+          | None -> len)
+      | _ -> i
+  in
+  let rec items i acc =
+    let i = skip i in
+    if i >= len || text.[i] = ')' then (List.rev acc, i + 1)
+    else if text.[i] = '(' then
+      let l, i = items (i + 1) [] in
+      items i (List l :: acc)
+    else if text.[i] = '"' then begin
+      let b = Buffer.create 16 in
+      let rec str j =
+        if j >= len then j
+        else if text.[j] = '\\' && j + 1 < len then begin
+          Buffer.add_char b text.[j + 1];
+          str (j + 2)
+        end
+        else if text.[j] = '"' then j + 1
+        else begin
+          Buffer.add_char b text.[j];
+          str (j + 1)
+        end
+      in
+      let i = str (i + 1) in
+      items i (Atom (Buffer.contents b) :: acc)
+    end
+    else begin
+      let j = ref i in
+      while
+        !j < len && not (String.contains " \t\n\r();\"" text.[!j])
+      do
+        incr j
+      done;
+      items !j (Atom (String.sub text i (!j - i)) :: acc)
+    end
+  in
+  fst (items 0 [])
+
+let dep_forms atom =
+  let marker = "%{dep:" in
+  let ml = String.length marker in
+  let rec from i acc =
+    match String.index_from_opt atom i '%' with
+    | Some k when k + ml <= String.length atom && String.sub atom k ml = marker -> (
+        match String.index_from_opt atom (k + ml) '}' with
+        | Some e -> from (e + 1) (String.sub atom (k + ml) (e - k - ml) :: acc)
+        | None -> acc)
+    | Some k -> from (k + 1) acc
+    | None -> acc
+  in
+  from 0 []
+
+let rec dune_deps = function
+  | Atom a -> dep_forms a
+  | List (Atom "deps" :: fields) ->
+      List.concat_map
+        (function
+          | Atom a when String.length a > 0 && a.[0] <> '%' -> [ a ]
+          | s -> dune_deps s)
+        fields
+  | List l -> List.concat_map dune_deps l
+
+(* [dir/rel] with "." and ".." segments folded away. *)
+let normalize dir rel =
+  let segs = String.split_on_char '/' (if dir = "." then rel else dir ^ "/" ^ rel) in
+  List.fold_left
+    (fun acc s ->
+      match (s, acc) with
+      | ("" | "."), _ -> acc
+      | "..", _ :: rest -> rest
+      | _ -> s :: acc)
+    [] segs
+  |> List.rev |> String.concat "/"
+
+let test_dune_deps_tracked () =
+  match find_root (Sys.getcwd ()) with
+  | None -> ()
+  | Some root -> (
+      match (git_lines root "ls-files", git_lines root "ls-files -- dune '*/dune'") with
+      | Some tracked, Some dune_files ->
+          let untracked =
+            List.concat_map
+              (fun file ->
+                let text =
+                  In_channel.with_open_text (Filename.concat root file)
+                    In_channel.input_all
+                in
+                List.concat_map dune_deps (parse_sexps text)
+                |> List.map (normalize (Filename.dirname file))
+                |> List.filter (fun p -> not (List.mem p tracked))
+                |> List.map (fun p -> file ^ " -> " ^ p))
+              dune_files
+          in
+          Alcotest.(check (list string)) "dune deps not tracked by git" [] untracked
+      | _ -> ())
 
 let () =
   Alcotest.run "repo_hygiene"
@@ -109,5 +237,6 @@ let () =
             test_gitignore_covers_generated_artifacts;
           Alcotest.test_case "no tracked generated artifacts" `Quick
             test_no_tracked_generated_artifacts;
+          Alcotest.test_case "dune deps are tracked" `Quick test_dune_deps_tracked;
         ] );
     ]
