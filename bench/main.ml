@@ -702,9 +702,12 @@ let run_json_bench ~path =
   (* Forest sweep: one full per-round sweep (all destinations) through
      the fused kernel, per-worker scratch — the shape of the engine's
      inner loop. *)
-  let sweep w () =
-    Parallel.Pool.map_reduce_chunked ~workers:w ~tasks:n ~grain:8
-      ~init:(fun () -> (Bgp.Forest.make_scratch n, ref 0.0))
+  let sweep ?(on_init = ignore) w () =
+    Parallel.Pool.map_reduce_dynamic_supervised Parallel.Pool.no_supervision ~workers:w
+      ~tasks:n ~grain:8
+      ~init:(fun () ->
+        on_init ();
+        (Bgp.Forest.make_scratch n, ref 0.0))
       ~task:(fun (scratch, acc) d ->
         let info = Bgp.Route_static.get statics d in
         Bgp.Forest.compute info ~tiebreak ~secure ~use_secp ~weight scratch;
@@ -721,8 +724,7 @@ let run_json_bench ~path =
      timings are near-identical either way, which is expected hardware
      behavior, not a scheduling bug). Each worker's [init] CAS-pushes
      its domain id; claiming workers > 1 with every chunk on one
-     domain is turned into a hard failure. The sweep goes through the
-     dynamic scheduler here because that is the engine's path. *)
+     domain is turned into a hard failure. *)
   let fanout_domains =
     let ids = Atomic.make [] in
     let note () =
@@ -734,19 +736,7 @@ let run_json_bench ~path =
       in
       push ()
     in
-    ignore
-      (Parallel.Pool.map_reduce_dynamic_supervised Parallel.Pool.no_supervision ~workers
-         ~tasks:n ~grain:8
-         ~init:(fun () ->
-           note ();
-           (Bgp.Forest.make_scratch n, ref 0.0))
-         ~task:(fun (scratch, acc) d ->
-           let info = Bgp.Route_static.get statics d in
-           Bgp.Forest.compute info ~tiebreak ~secure ~use_secp ~weight scratch;
-           acc := !acc +. scratch.Bgp.Forest.sub.(d))
-         ~combine:(fun (s, a) (_, b) ->
-           a := !a +. !b;
-           (s, a)));
+    ignore (sweep ~on_init:note workers ());
     List.length (Atomic.get ids)
   in
   Printf.printf "sweep fan-out: %d workers -> %d distinct domains\n%!" workers
@@ -791,7 +781,8 @@ let run_json_bench ~path =
     done
   in
   let flip w () =
-    Parallel.Pool.map_reduce_chunked ~workers:w ~tasks:n ~grain:8
+    Parallel.Pool.map_reduce_dynamic_supervised Parallel.Pool.no_supervision ~workers:w
+      ~tasks:n ~grain:8
       ~init:(fun () -> ref 0)
       ~task:probe_dest
       ~combine:(fun a b ->

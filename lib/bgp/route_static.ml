@@ -1319,8 +1319,8 @@ let ensure_all ?(workers = 1) t =
            chunk, and the output slots are written one per task. *)
         let infos = Array.make (Array.length miss) None in
         ignore
-          (Parallel.Pool.map_reduce_chunked ~workers ~tasks:(Array.length miss) ~grain:8
-             ~init:(fun () -> make_builder n)
+          (Parallel.Pool.map_reduce_dynamic_supervised Parallel.Pool.no_supervision
+             ~workers ~tasks:(Array.length miss) ~grain:8 ~init:(fun () -> make_builder n)
              ~task:(fun bd i -> infos.(i) <- Some (compute_with ~tiebreak bd t.g miss.(i)))
              ~combine:(fun a _ -> a));
         Array.iteri
@@ -1421,7 +1421,7 @@ let rebase ?kernel ?(workers = 1) ?faults t ~delta g' =
       (* Phase 1, parallel: pure per-entry repair — the migration is
          memory-bound (each resident entry is read and its patched
          copy written), so it fans out across domains; each worker
-         slice builds its own context (op classification + patch
+         builds its own context (op classification + patch
          scratch, per-delta not per-entry). Phase 2, serial: inserts
          in the same fixed order as a serial rebase, so budget
          accounting, eviction state and stats are bit-identical at
@@ -1433,8 +1433,8 @@ let rebase ?kernel ?(workers = 1) ?faults t ~delta g' =
          results stay bit-identical even under corruption. *)
       let results = Array.make (max 1 base_n) None in
       if base_n > 0 then
-        Parallel.Pool.map_reduce_chunked ~workers ~tasks:base_n ~grain:32
-          ~init:(fun () ->
+        Parallel.Pool.map_reduce_dynamic_supervised Parallel.Pool.no_supervision ~workers
+          ~tasks:base_n ~grain:32 ~init:(fun () ->
             let rx = make_repair_ctx g' delta in
             if bounded t then rx else { rx with rx_alloc = slab_alloc (slab_create ()) })
           ~task:(fun rx d ->

@@ -165,11 +165,12 @@ type t
     read-only lookup, safe from any domain. Bounded, {!get} recomputes
     on miss and inserts under clock (second-chance) eviction; the
     store is striped into shards with per-shard budgets, hands and
-    counters, aligned with the contiguous destination slices the
-    engine hands to workers. Because {!compute} is pure and slot
-    updates are single pointer stores, concurrent [get]s from several
-    domains always return correct (bit-identical) info — only the
-    {!stats} counters are best-effort under concurrency. *)
+    counters, aligned with the contiguous destination chunks the
+    engine's workers claim ({!batch_grain}). Because {!compute} is
+    pure and slot updates are single pointer stores, concurrent
+    [get]s from several domains always return correct (bit-identical)
+    info — only the {!stats} counters are best-effort under
+    concurrency. *)
 
 type stats = {
   hits : int;

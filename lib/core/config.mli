@@ -45,7 +45,7 @@ type t = {
           Defaults to [Parallel.Pool.default_workers ()] (the
           [SBGP_WORKERS] environment variable when set). *)
   retries : int;
-      (** per-slice retry budget for the supervised engine sweeps
+      (** per-chunk retry budget for the supervised engine sweeps
           (see {!Parallel.Pool.supervision}); like [workers], has no
           effect on results — only on whether a faulty run survives. *)
   flip_kernel : flip_kernel;
@@ -68,7 +68,7 @@ type t = {
           or [--statics-kernel]. *)
   task_timeout_ms : int;
       (** watchdog deadline for the supervised engine sweeps
-          ({!Parallel.Pool.supervision}): a worker slice making no
+          ({!Parallel.Pool.supervision}): a worker making no
           progress for this long is cancelled and re-executed. [0]
           (the default) disables the watchdog. Like [workers] and
           [retries], has no effect on results — only on whether a

@@ -363,9 +363,9 @@ let run_internal ~checkpoint ~sink ~faults ~digest ~resume_from (cfg : Config.t)
   let tiebreak = cfg.tiebreak in
   let workers = max 1 (min cfg.workers n) in
   (* Supervision for the engine's fan-outs: worker failures retry per
-     slice ([Config.retries], capped-exponential backoff with jitter)
+     chunk ([Config.retries], capped-exponential backoff with jitter)
      and degrade to serial re-execution; [Config.task_timeout_ms] arms
-     the hang watchdog on top. Re-running a slice recomputes identical
+     the hang watchdog on top. Re-running a chunk recomputes identical
      per-destination values, so faults never change results. *)
   let sv =
     Pool.supervision ~retries:(max 0 cfg.retries) ~jitter_seed:cfg.jitter_seed
@@ -414,8 +414,9 @@ let run_internal ~checkpoint ~sink ~faults ~digest ~resume_from (cfg : Config.t)
     Csr.of_rev_lists acc
   in
   (* Destination-chunk size for the engine's fan-outs: shard-stripe
-     batches over the statics store (floored at the gadget-scale grain
-     of 8, so tiny graphs stay in the calling domain). *)
+     batches over the statics store, floored at the gadget-scale grain
+     of 8 — a fan-out over at most one chunk runs in the calling
+     domain, so gadget-size graphs never wake the worker bank. *)
   let grain = Route_static.batch_grain statics ~workers ~tasks:n in
   (* Baseline: utilities before deployment began (empty state). The
      parallel phase computes per-destination addend streams; the
@@ -434,7 +435,7 @@ let run_internal ~checkpoint ~sink ~faults ~digest ~resume_from (cfg : Config.t)
       let len = min block (n - !lo) in
       let base = !lo in
       ignore
-        (Pool.map_reduce_chunked_supervised sv ~workers ~tasks:len ~grain
+        (Pool.map_reduce_dynamic_supervised sv ~workers ~tasks:len ~grain
            ~init:(fun () -> (Forest.make_scratch n, Route_static.make_builder n))
            ~task:(fun ((scratch, bd) as ws) i ->
              let d = base + i in

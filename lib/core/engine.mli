@@ -53,7 +53,7 @@ type result = {
   demotions : int;
       (** destinations the degradation ladder pinned to the full
           flip/statics kernels during this process's run — after
-          repeated supervision failure of their sweep slice, or after
+          repeated supervision failure of their sweep chunk, or after
           their statics record failed the checkpoint-boundary
           {!Bgp.Route_static.check_info} validation. Always [0] when
           [Config.degrade] is off (those conditions raise instead).
@@ -116,11 +116,11 @@ val run :
     destination order.
 
     The sweeps run supervised: a worker exception is contained and
-    its slice retried up to [Config.retries] times (final attempt
-    serial in the calling domain); since re-executing a slice
+    its chunk retried up to [Config.retries] times (final attempt
+    serial in the calling domain); since re-executing a chunk
     recomputes identical per-destination values, contained faults
     never change results. {!Parallel.Pool.Supervision_failed}
-    escapes only when a slice keeps failing beyond the budget.
+    escapes only when a chunk keeps failing beyond the budget.
 
     [checkpoint] snapshots the engine's complete cross-round memory
     (state, oscillation table, round records, counters, incremental

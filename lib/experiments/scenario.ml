@@ -54,26 +54,35 @@ let run_many_outcomes ?(augmented = false) t jobs =
      [workers = 1], so parallelism is across jobs and a job's engine
      only ever reads the cache. *)
   Bgp.Route_static.ensure_all ~workers statics;
-  Parallel.Pool.map_array ~workers ~tasks:(Array.length jobs) (fun i ->
-      (* Crash containment per job: a failing simulation becomes an
-         [Error] outcome instead of killing the other jobs' domains
-         and losing the whole sweep. *)
-      match
-        let cfg, early = jobs.(i) in
-        let cfg = { cfg with Core.Config.workers = 1 } in
-        let weight = Traffic.Weights.assign g ~cp_fraction:cfg.Core.Config.cp_fraction in
-        let state =
-          Core.State.create g ~early ~simplex:(not cfg.disable_simplex)
-            ~secp:(not cfg.disable_secp)
-        in
-        Core.Engine.run cfg statics ~weight ~state
-      with
-      | result -> Ok result
-      | exception e ->
-          let error = Printexc.to_string e in
-          Nsobs.Log.warn "scenario: job %d failed: %s" i error;
-          Error { job = i; error })
-  |> Array.to_list
+  let run_job i =
+    (* Crash containment per job: a failing simulation becomes an
+       [Error] outcome instead of killing the other jobs' domains and
+       losing the whole sweep. *)
+    match
+      let cfg, early = jobs.(i) in
+      let cfg = { cfg with Core.Config.workers = 1 } in
+      let weight = Traffic.Weights.assign g ~cp_fraction:cfg.Core.Config.cp_fraction in
+      let state =
+        Core.State.create g ~early ~simplex:(not cfg.disable_simplex)
+          ~secp:(not cfg.disable_secp)
+      in
+      Core.Engine.run cfg statics ~weight ~state
+    with
+    | result -> Ok result
+    | exception e ->
+        let error = Printexc.to_string e in
+        Nsobs.Log.warn "scenario: job %d failed: %s" i error;
+        Error { job = i; error }
+  in
+  (* One job per chunk, so uneven jobs balance across workers; each
+     job writes its own outcome slot. *)
+  let outcomes = Array.make (Array.length jobs) None in
+  Parallel.Pool.map_reduce_dynamic_supervised Parallel.Pool.no_supervision ~workers
+    ~tasks:(Array.length jobs) ~grain:1
+    ~init:(fun () -> ())
+    ~task:(fun () i -> outcomes.(i) <- Some (run_job i))
+    ~combine:(fun () () -> ());
+  Array.to_list (Array.map Option.get outcomes)
 
 let run_many ?augmented t jobs =
   List.map

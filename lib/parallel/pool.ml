@@ -55,38 +55,23 @@ let recommended_workers () = workers_of_domain_count (Domain.recommended_domain_
 let default_workers () =
   Nsutil.Env.int_var ~name:"SBGP_WORKERS" ~min:1 ~default:(recommended_workers ()) ()
 
-let slice ~workers ~tasks w =
-  let base = tasks / workers in
-  let extra = tasks mod workers in
-  let lo = (w * base) + min w extra in
-  let hi = lo + base + (if w < extra then 1 else 0) in
-  (lo, hi)
-
-let run_slice ~init ~task lo hi =
-  let acc = init () in
-  for i = lo to hi - 1 do
-    task acc i
-  done;
-  acc
-
 (* ------------------------------------------------------------------ *)
 (* Persistent worker bank.
 
    [Domain.spawn] costs milliseconds on a loaded host — comparable to
    an entire per-round sweep at Internet scale — so spawning fresh
-   domains per [map_reduce] call would be overhead-dominated for the
-   engine's per-round kernels. Instead, helper domains are spawned
-   once on first parallel use and then parked on a condition variable;
-   a call leases the whole bank, hands each worker its slice closure,
-   runs slice 0 itself and waits for the helpers to park again.
+   domains per fan-out would be overhead-dominated for the engine's
+   per-round kernels. Instead, helper domains are spawned once on
+   first parallel use and then parked on a condition variable; a call
+   leases the whole bank, hands each helper its worker closure, runs
+   worker 0 itself and waits for the helpers to park again.
 
-   The bank is a pure execution strategy: slices and the left-fold
-   combine order are fixed by (workers, tasks) alone, so results are
-   bit-identical whether slices run on the bank, on freshly spawned
-   domains, or sequentially. Calls that cannot take the lease — a
-   nested call from inside a worker, a concurrent caller from another
-   domain, or a worker count beyond the bank cap — fall back to
-   spawning, preserving liveness. *)
+   The bank is a pure execution strategy: workers claim chunks off a
+   shared counter wherever they run, so results are the same whether
+   the workers run on the bank or on freshly spawned domains. Calls
+   that cannot take the lease — a nested call from inside a worker, a
+   concurrent caller from another domain, or a worker count beyond the
+   bank cap — fall back to spawning, preserving liveness. *)
 
 type bank_worker = {
   wm : Mutex.t;
@@ -164,7 +149,7 @@ let bank_try_submit k run =
     true
   end
 
-(* Wait for the k submitted slices to finish and release the lease. *)
+(* Wait for the k submitted workers to finish and release the lease. *)
 let bank_wait k =
   let ws = !bank in
   for i = 0 to k - 1 do
@@ -177,88 +162,11 @@ let bank_wait k =
   done;
   Atomic.set bank_leased false
 
-let map_reduce ~workers ~tasks ~init ~task ~combine =
-  if workers <= 1 || tasks <= 1 then run_slice ~init ~task 0 tasks
-  else begin
-    let workers = min workers tasks in
-    let k = workers - 1 in
-    let results = Array.make k None in
-    let run i =
-      slice_span (fun () ->
-          let lo, hi = slice ~workers ~tasks (i + 1) in
-          results.(i) <-
-            Some
-              (match run_slice ~init ~task lo hi with
-              | acc -> Ok acc
-              | exception e -> Error e))
-    in
-    let on_bank = bank_try_submit k run in
-    if Nsobs.Metrics.enabled () then
-      if on_bank then Nsobs.Metrics.inc (Lazy.force m_leases)
-      else begin
-        Nsobs.Metrics.inc (Lazy.force m_fallbacks);
-        Nsobs.Metrics.add (Lazy.force m_spawns) k
-      end;
-    let spawned =
-      if on_bank then [||] else Array.init k (fun i -> Domain.spawn (fun () -> run i))
-    in
-    let first =
-      slice_span (fun () ->
-          match
-            run_slice ~init ~task
-              (fst (slice ~workers ~tasks 0))
-              (snd (slice ~workers ~tasks 0))
-          with
-          | acc -> Ok acc
-          | exception e -> Error e)
-    in
-    (* Always drain the helpers (and release the bank lease) before
-       propagating any failure. *)
-    if on_bank then bank_wait k else Array.iter Domain.join spawned;
-    let get = function
-      | Ok acc -> acc
-      | Error e -> raise e
-    in
-    let acc = ref (get first) in
-    for i = 0 to k - 1 do
-      match results.(i) with
-      | Some r -> acc := combine !acc (get r)
-      | None -> invalid_arg "Pool.map_reduce: missing slice result"
-    done;
-    !acc
-  end
-
-let map_reduce_chunked ~workers ~tasks ~grain ~init ~task ~combine =
-  let grain = max 1 grain in
-  (* Cap the worker count so every worker gets at least [grain]
-     contiguous tasks; slices stay contiguous, so the left-fold
-     reduction visits tasks in index order exactly as [map_reduce]. *)
-  let workers = max 1 (min workers (tasks / grain)) in
-  map_reduce ~workers ~tasks ~init ~task ~combine
-
-let map_array ~workers ~tasks f =
-  if tasks = 0 then [||]
-  else begin
-    let results = Array.make tasks None in
-    let acc =
-      map_reduce ~workers ~tasks
-        ~init:(fun () -> [])
-        ~task:(fun _ i -> results.(i) <- Some (f i))
-        ~combine:(fun a _ -> a)
-    in
-    ignore acc;
-    Array.map
-      (function Some v -> v | None -> invalid_arg "Pool.map_array: missing result")
-      results
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Supervision: worker-domain exceptions are contained, attributed to
-   the task index that raised, and the failed slice is re-executed —
-   spawned retries with exponential backoff first, then one final
-   serial attempt in the calling domain. Because each slice folds from
-   a fresh accumulator and the reduction stays a left fold in worker
-   order, a re-executed slice contributes bit-identical results. *)
+(* Supervision: task exceptions are contained, attributed to the task
+   index that raised, and the failed chunk is re-executed — spawned
+   retries with exponential backoff first, then one final serial
+   attempt in the calling domain. *)
 
 type failure = { index : int; attempts : int; error : string }
 
@@ -464,152 +372,29 @@ let check_task_boundary ~sv ~tracker =
       | None -> ())
   | None -> ()
 
-(* One guarded slice execution: checks cancellation and trips the
-   fault plan before each task, converts any exception into the
-   failing index. The partially-built accumulator is discarded; tasks
-   may have published per-index side results, which re-execution
-   overwrites with identical values. *)
-let run_slice_guarded ~sv ~tracker ~init ~task lo hi =
-  let acc = init () in
-  let i = ref lo in
-  match
-    while !i < hi do
-      check_task_boundary ~sv ~tracker;
-      task acc !i;
-      incr i
-    done
-  with
-  | () ->
-      tracker_finish tracker;
-      Ok acc
-  | exception e ->
-      tracker_finish tracker;
-      Error (!i, Printexc.to_string e)
-
-let map_reduce_supervised sv ~workers ~tasks ~init ~task ~combine =
-  if tasks <= 0 then init ()
-  else
-    with_watchdog sv @@ fun mk_tracker ->
-    let workers = max 1 (min workers tasks) in
-    let results = Array.make workers None in
-    let attempt w =
-      slice_span (fun () ->
-          run_slice_guarded ~sv ~tracker:(mk_tracker ()) ~init ~task
-            (fst (slice ~workers ~tasks w))
-            (snd (slice ~workers ~tasks w)))
-    in
-    let record failed w = function
-      | Ok acc -> results.(w) <- Some acc
-      | Error (index, error) ->
-          if Nsobs.Metrics.enabled () then
-            Nsobs.Metrics.inc (Lazy.force m_slice_failures);
-          failed := (w, index, error) :: !failed
-    in
-    (* First attempt: the usual fan-out (slice 0 in the caller). *)
-    let failed = ref [] in
-    if Nsobs.Metrics.enabled () && workers > 1 then
-      Nsobs.Metrics.add (Lazy.force m_spawns) (workers - 1);
-    let spawned =
-      Array.init (workers - 1) (fun w -> Domain.spawn (fun () -> attempt (w + 1)))
-    in
-    record failed 0 (attempt 0);
-    Array.iteri (fun w d -> record failed (w + 1) (Domain.join d)) spawned;
-    (* Retry failed slices, attempt by attempt; the last allowed
-       attempt runs serially in the calling domain. *)
-    let rec retry attempt_no failed =
-      if failed = [] then []
-      else if attempt_no > sv.retries + 1 then
-        List.map (fun (_, index, error) -> { index; attempts = sv.retries + 1; error }) failed
-      else begin
-        List.iter
-          (fun (_, index, error) ->
-            if Nsobs.Metrics.enabled () then
-              Nsobs.Metrics.inc (Lazy.force m_retries);
-            Nsobs.Log.warn "pool: retrying slice (task %d, attempt %d): %s"
-              index attempt_no error;
-            if Nsobs.Journal.enabled () then
-              Nsobs.Journal.event "pool_retry"
-                [
-                  ("index", Nsobs.Journal.Int index);
-                  ("attempt", Nsobs.Journal.Int attempt_no);
-                  ("error", Nsobs.Journal.Str error);
-                ];
-            match sv.on_retry with
-            | Some f -> f ~attempt:attempt_no ~index ~error
-            | None -> ())
-          failed;
-        let still = ref [] in
-        if attempt_no <= sv.retries then begin
-          (* Spawned re-execution, all failed slices concurrently; each
-             retry domain sleeps its own jittered backoff first, so
-             retry storms cannot synchronize across slices. *)
-          if Nsobs.Metrics.enabled () then
-            Nsobs.Metrics.add (Lazy.force m_spawns) (List.length failed);
-          let redo =
-            List.map
-              (fun (w, index, _) ->
-                ( w,
-                  Domain.spawn (fun () ->
-                      sleep_before_retry sv ~attempt:attempt_no ~index;
-                      attempt w) ))
-              failed
-          in
-          List.iter (fun (w, d) -> record still w (Domain.join d)) redo
-        end
-        else
-          (* Final attempt: serial, in the calling domain. *)
-          List.iter
-            (fun (w, index, _) ->
-              sleep_before_retry sv ~attempt:attempt_no ~index;
-              record still w (attempt w))
-            failed;
-        retry (attempt_no + 1) !still
-      end
-    in
-    let dead = retry 2 (List.rev !failed) in
-    if dead <> [] then
-      raise
-        (Supervision_failed (List.sort (fun a b -> compare a.index b.index) dead));
-    (* Deterministic left fold in worker order, as [map_reduce]. *)
-    let get w =
-      match results.(w) with
-      | Some acc -> acc
-      | None -> invalid_arg "Pool.map_reduce_supervised: missing slice result"
-    in
-    let acc = ref (get 0) in
-    for w = 1 to workers - 1 do
-      acc := combine !acc (get w)
-    done;
-    !acc
-
-let map_reduce_chunked_supervised sv ~workers ~tasks ~grain ~init ~task ~combine =
-  let grain = max 1 grain in
-  let workers = max 1 (min workers (tasks / grain)) in
-  map_reduce_supervised sv ~workers ~tasks ~init ~task ~combine
-
 (* ------------------------------------------------------------------ *)
-(* Dynamic (self-scheduled) distribution: workers repeatedly claim the
+(* The fan-out: self-scheduled chunks. Workers repeatedly claim the
    next [grain]-sized contiguous chunk off a shared atomic counter, so
    a heavy-tailed task — one destination with many admitted candidate
-   probes — delays only the worker that drew it instead of the whole
-   static slice behind it. Which worker runs which chunk (and hence
-   how tasks partition into accumulators) is nondeterministic, so the
-   deterministic-results contract is narrower than [map_reduce]'s:
-   callers must either publish per-task side results keyed by index
-   (and ignore the accumulators, as the engine sweep and [map_array]
-   do) or use a reduction that is invariant under task regrouping.
+   probes — delays only the worker that drew it. Which worker runs
+   which chunk (and hence how tasks group into accumulators) is
+   nondeterministic; a single worker claims every chunk in ascending
+   order in the calling domain.
 
-   Supervision is chunk-grained: an exception is attributed to the
-   failing task index, the chunk is re-executed (spawned retries, then
-   one final serial attempt) from a fresh accumulator, and surviving
-   failures aggregate into [Supervision_failed]. A re-executed chunk
-   overwrites its per-index results with identical values.
+   Every task reaches the final fold exactly once. A worker folds
+   successive chunks into one accumulator, so when a chunk raises, that
+   accumulator already holds the chunk's prefix: the worker retires it,
+   starts a fresh one and queues the chunks it had folded for
+   re-execution (they did not fail, so they get no attribution and no
+   [on_retry]). The failed chunk re-executes into its own fresh
+   accumulator — spawned retries first, then one final serial attempt
+   — and failures surviving the budget aggregate into
+   [Supervision_failed]. A re-executed task overwrites its per-index
+   results with identical values.
 
    A watchdog-cancelled worker stops claiming chunks and exits; the
-   chunk it was executing joins the failure list like any raising
-   chunk, and any chunks left unclaimed (every live worker may have
-   been cancelled) are drained by the calling domain after the join —
-   no task index is ever silently skipped. *)
+   calling domain then runs the chunks it left queued and any chunk
+   never claimed, so no task index is silently skipped. *)
 
 let run_chunk_guarded ~sv ~tracker ~task acc lo hi =
   let i = ref lo in
@@ -624,45 +409,63 @@ let run_chunk_guarded ~sv ~tracker ~task acc lo hi =
 
 let map_reduce_dynamic_supervised sv ~workers ~tasks ~grain ~init ~task ~combine =
   if tasks <= 0 then init ()
-  else begin
+  else
+    with_watchdog sv @@ fun mk_tracker ->
     let grain = max 1 grain in
     let nchunks = (tasks + grain - 1) / grain in
     let workers = max 1 (min workers nchunks) in
-    if workers = 1 then
-      (* Serial in-order fold; {!map_reduce_supervised} arms its own
-         watchdog when the policy has a timeout. *)
-      map_reduce_supervised sv ~workers:1 ~tasks ~init ~task ~combine
-    else
-      with_watchdog sv @@ fun mk_tracker ->
-      let next_chunk = Atomic.make 0 in
-      let accs = Array.make workers None in
-      let failures = Array.make workers [] in
-      let worker w =
-        slice_span (fun () ->
-            let tracker = mk_tracker () in
-            let acc = init () in
-            let continue = ref true in
-            while !continue do
-              if tracker_cancelled tracker then continue := false
-              else begin
-                let c = Atomic.fetch_and_add next_chunk 1 in
-                if c >= nchunks then continue := false
-                else begin
-                  let lo = c * grain in
-                  let hi = min tasks (lo + grain) in
-                  match run_chunk_guarded ~sv ~tracker ~task acc lo hi with
-                  | None -> ()
-                  | Some (index, error) ->
-                      if Nsobs.Metrics.enabled () then
-                        Nsobs.Metrics.inc (Lazy.force m_slice_failures);
-                      failures.(w) <- (lo, hi, index, error) :: failures.(w)
-                end
+    let run_chunk ~tracker acc c =
+      let lo = c * grain in
+      run_chunk_guarded ~sv ~tracker ~task acc lo (min tasks (lo + grain))
+    in
+    let note_failure () =
+      if Nsobs.Metrics.enabled () then Nsobs.Metrics.inc (Lazy.force m_slice_failures)
+    in
+    let next_chunk = Atomic.make 0 in
+    (* Per worker, each written only by its owner until the join: the
+       final accumulator, failed chunks as (chunk, index, error), chunks
+       to re-run after a retirement, and an exception escaping [init]. *)
+    let accs = Array.make workers None in
+    let failures = Array.make workers [] in
+    let requeued = Array.make workers [] in
+    let crashed = Array.make workers None in
+    let worker w =
+      slice_span (fun () ->
+          let tracker = mk_tracker () in
+          let acc = ref (init ()) in
+          let folded = ref [] in
+          let rec loop () =
+            if not (tracker_cancelled tracker) then begin
+              let c =
+                match requeued.(w) with
+                | c :: rest ->
+                    requeued.(w) <- rest;
+                    c
+                | [] -> Atomic.fetch_and_add next_chunk 1
+              in
+              if c < nchunks then begin
+                (match run_chunk ~tracker !acc c with
+                | None -> folded := c :: !folded
+                | Some (index, error) ->
+                    note_failure ();
+                    failures.(w) <- (c, index, error) :: failures.(w);
+                    requeued.(w) <- List.rev_append !folded requeued.(w);
+                    folded := [];
+                    acc := init ());
+                loop ()
               end
-            done;
-            tracker_finish tracker;
-            accs.(w) <- Some acc)
-      in
-      let k = workers - 1 in
+            end
+          in
+          loop ();
+          tracker_finish tracker;
+          accs.(w) <- Some !acc)
+    in
+    (* Bank jobs must never raise: an escaping exception is re-raised
+       in the calling domain after the join. *)
+    let worker w = try worker w with e -> crashed.(w) <- Some e in
+    let k = workers - 1 in
+    if k = 0 then worker 0
+    else begin
       let on_bank = bank_try_submit k (fun i -> worker (i + 1)) in
       if Nsobs.Metrics.enabled () then
         if on_bank then Nsobs.Metrics.inc (Lazy.force m_leases)
@@ -675,106 +478,97 @@ let map_reduce_dynamic_supervised sv ~workers ~tasks ~grain ~init ~task ~combine
         else Array.init k (fun i -> Domain.spawn (fun () -> worker (i + 1)))
       in
       worker 0;
-      if on_bank then bank_wait k else Array.iter Domain.join spawned;
-      (* Chunk-grained retries; each re-execution folds into a fresh
-         accumulator appended after the worker accumulators. *)
-      let retry_accs = ref [] in
-      let attempt_chunk (lo, hi) =
-        let tracker = mk_tracker () in
-        let acc = init () in
-        let r =
-          match run_chunk_guarded ~sv ~tracker ~task acc lo hi with
-          | None -> Ok acc
-          | Some (index, error) -> Error (lo, hi, index, error)
-        in
-        tracker_finish tracker;
-        r
-      in
-      let record still = function
-        | Ok acc -> retry_accs := acc :: !retry_accs
-        | Error ((_, _, _, _) as f) ->
-            if Nsobs.Metrics.enabled () then
-              Nsobs.Metrics.inc (Lazy.force m_slice_failures);
-            still := f :: !still
-      in
-      (* Cancelled workers may have exited with the chunk counter short
-         of the end: drain the leftovers in the calling domain (through
-         the same accumulator/failure machinery) before retrying, so no
-         index is silently dropped. *)
-      let drained = ref [] in
-      let rec drain () =
-        let c = Atomic.fetch_and_add next_chunk 1 in
-        if c < nchunks then begin
-          let lo = c * grain in
-          record drained (attempt_chunk (lo, min tasks (lo + grain)));
-          drain ()
+      if on_bank then bank_wait k else Array.iter Domain.join spawned
+    end;
+    Array.iter (Option.iter raise) crashed;
+    (* Every chunk run after the fan-out folds into its own fresh
+       accumulator, appended after the worker accumulators. *)
+    let extra = ref [] in
+    let attempt c =
+      let tracker = mk_tracker () in
+      let acc = init () in
+      let r = run_chunk ~tracker acc c in
+      tracker_finish tracker;
+      match r with None -> Ok acc | Some (index, error) -> Error (c, index, error)
+    in
+    let record still = function
+      | Ok acc -> extra := acc :: !extra
+      | Error f ->
+          note_failure ();
+          still := f :: !still
+    in
+    (* What cancelled workers left behind: their queued chunks, then
+       the chunks nobody claimed. *)
+    let drained = ref [] in
+    Array.iter (List.iter (fun c -> record drained (attempt c))) requeued;
+    let rec drain () =
+      let c = Atomic.fetch_and_add next_chunk 1 in
+      if c < nchunks then begin
+        record drained (attempt c);
+        drain ()
+      end
+    in
+    drain ();
+    let rec retry attempt_no failed =
+      if failed = [] then []
+      else if attempt_no > sv.retries + 1 then
+        List.map (fun (_, index, error) -> { index; attempts = sv.retries + 1; error }) failed
+      else begin
+        List.iter
+          (fun (_, index, error) ->
+            if Nsobs.Metrics.enabled () then Nsobs.Metrics.inc (Lazy.force m_retries);
+            Nsobs.Log.warn "pool: retrying chunk (task %d, attempt %d): %s" index attempt_no
+              error;
+            if Nsobs.Journal.enabled () then
+              Nsobs.Journal.event "pool_retry"
+                [
+                  ("index", Nsobs.Journal.Int index);
+                  ("attempt", Nsobs.Journal.Int attempt_no);
+                  ("error", Nsobs.Journal.Str error);
+                ];
+            match sv.on_retry with
+            | Some f -> f ~attempt:attempt_no ~index ~error
+            | None -> ())
+          failed;
+        let still = ref [] in
+        if attempt_no <= sv.retries then begin
+          (* All failed chunks concurrently, each retry domain sleeping
+             its own jittered backoff first, so retries cannot
+             synchronize into a storm. *)
+          if Nsobs.Metrics.enabled () then
+            Nsobs.Metrics.add (Lazy.force m_spawns) (List.length failed);
+          let redo =
+            List.map
+              (fun (c, index, _) ->
+                Domain.spawn (fun () ->
+                    sleep_before_retry sv ~attempt:attempt_no ~index;
+                    attempt c))
+              failed
+          in
+          List.iter (fun d -> record still (Domain.join d)) redo
         end
-      in
-      drain ();
-      let rec retry attempt_no failed =
-        if failed = [] then []
-        else if attempt_no > sv.retries + 1 then
-          List.map
-            (fun (_, _, index, error) ->
-              { index; attempts = sv.retries + 1; error })
-            failed
-        else begin
+        else
+          (* Final attempt: serial, in the calling domain. *)
           List.iter
-            (fun (_, _, index, error) ->
-              if Nsobs.Metrics.enabled () then
-                Nsobs.Metrics.inc (Lazy.force m_retries);
-              Nsobs.Log.warn "pool: retrying chunk (task %d, attempt %d): %s"
-                index attempt_no error;
-              if Nsobs.Journal.enabled () then
-                Nsobs.Journal.event "pool_retry"
-                  [
-                    ("index", Nsobs.Journal.Int index);
-                    ("attempt", Nsobs.Journal.Int attempt_no);
-                    ("error", Nsobs.Journal.Str error);
-                  ];
-              match sv.on_retry with
-              | Some f -> f ~attempt:attempt_no ~index ~error
-              | None -> ())
+            (fun (c, index, _) ->
+              sleep_before_retry sv ~attempt:attempt_no ~index;
+              record still (attempt c))
             failed;
-          let still = ref [] in
-          if attempt_no <= sv.retries then begin
-            if Nsobs.Metrics.enabled () then
-              Nsobs.Metrics.add (Lazy.force m_spawns) (List.length failed);
-            let redo =
-              List.map
-                (fun (lo, hi, index, _) ->
-                  Domain.spawn (fun () ->
-                      sleep_before_retry sv ~attempt:attempt_no ~index;
-                      attempt_chunk (lo, hi)))
-                failed
-            in
-            List.iter (fun d -> record still (Domain.join d)) redo
-          end
-          else
-            List.iter
-              (fun (lo, hi, index, _) ->
-                sleep_before_retry sv ~attempt:attempt_no ~index;
-                record still (attempt_chunk (lo, hi)))
-              failed;
-          retry (attempt_no + 1) !still
-        end
-      in
-      let failed0 =
-        List.concat_map List.rev (Array.to_list failures) @ List.rev !drained
-      in
-      let dead = retry 2 failed0 in
-      if dead <> [] then
-        raise
-          (Supervision_failed (List.sort (fun a b -> compare a.index b.index) dead));
-      let get w =
-        match accs.(w) with
-        | Some acc -> acc
-        | None -> invalid_arg "Pool.map_reduce_dynamic_supervised: missing accumulator"
-      in
-      let acc = ref (get 0) in
-      for w = 1 to workers - 1 do
-        acc := combine !acc (get w)
-      done;
-      List.iter (fun a -> acc := combine !acc a) (List.rev !retry_accs);
-      !acc
-  end
+        retry (attempt_no + 1) !still
+      end
+    in
+    let failed0 = List.concat_map List.rev (Array.to_list failures) @ List.rev !drained in
+    let dead = retry 2 failed0 in
+    if dead <> [] then
+      raise (Supervision_failed (List.sort (fun a b -> compare a.index b.index) dead));
+    let get w =
+      match accs.(w) with
+      | Some acc -> acc
+      | None -> invalid_arg "Pool.map_reduce_dynamic_supervised: missing accumulator"
+    in
+    let acc = ref (get 0) in
+    for w = 1 to workers - 1 do
+      acc := combine !acc (get w)
+    done;
+    List.iter (fun a -> acc := combine !acc a) (List.rev !extra);
+    !acc

@@ -1,22 +1,25 @@
-(** Multicore map/reduce over integer task indices.
+(** Multicore fan-out over integer task indices.
 
     This is the stand-in for the paper's 200-node DryadLINQ cluster
     (Appendix C.3): simulations parallelize by mapping per-destination
     computations across workers, each with worker-local scratch, and
-    reducing the partial utility vectors. Workers are OCaml 5 domains;
-    with [workers = 1] (the default on a single-core host) everything
-    runs in the calling domain and results are bit-identical to the
-    parallel runs, because the reduction is a deterministic left
-    fold over worker index.
+    reducing the results. Workers are OCaml 5 domains that claim
+    contiguous chunks of the index space off a shared counter; with
+    one worker (the default on a single-core host) everything runs in
+    the calling domain.
+
+    There is one fan-out, {!map_reduce_dynamic_supervised}. Its results
+    are deterministic — bit-identical at every worker count — when the
+    tasks publish per-index results (and the caller replays them in
+    index order), or when the reduction does not depend on how tasks
+    are grouped into accumulators. Every task is folded exactly once,
+    retries included.
 
     Helper domains are spawned once on first parallel use and then
     parked between calls (a persistent bank), so a per-round sweep
     pays a condition-variable wakeup instead of a multi-millisecond
-    [Domain.spawn] per call. The bank is purely an execution strategy:
-    slices and the reduction order depend only on [(workers, tasks)],
-    so results are identical whether slices run on the bank, on
-    freshly spawned domains (the fallback for nested or concurrent
-    calls), or serially. *)
+    domain spawn per call. Nested or concurrent calls, which cannot
+    lease the bank, fall back to freshly spawned domains. *)
 
 val recommended_workers : unit -> int
 (** [Domain.recommended_domain_count () - 1], at least 1 (clamped so a
@@ -32,54 +35,18 @@ val default_workers : unit -> int
     [SBGP_WORKERS] environment variable when it parses as a positive
     integer, else {!recommended_workers}. *)
 
-val map_reduce :
-  workers:int ->
-  tasks:int ->
-  init:(unit -> 'acc) ->
-  task:('acc -> int -> unit) ->
-  combine:('acc -> 'acc -> 'acc) ->
-  'acc
-(** [map_reduce ~workers ~tasks ~init ~task ~combine] partitions task
-    indices [0 .. tasks-1] into [workers] contiguous slices; each
-    worker folds [task] over its slice using its own accumulator from
-    [init]; accumulators are combined left-to-right by worker index.
-    [task] must only mutate its own accumulator. *)
-
-val map_reduce_chunked :
-  workers:int ->
-  tasks:int ->
-  grain:int ->
-  init:(unit -> 'acc) ->
-  task:('acc -> int -> unit) ->
-  combine:('acc -> 'acc -> 'acc) ->
-  'acc
-(** {!map_reduce} with a scheduling grain: the worker count is capped
-    at [tasks / grain] (at least 1) so no domain is spawned for fewer
-    than [grain] tasks — tiny task sets run sequentially instead of
-    drowning in spawn overhead. Slices remain contiguous and the
-    reduction remains a left fold by worker index, so results are
-    identical to [map_reduce] (and to [workers = 1]) for any grain. *)
-
-val map_array : workers:int -> tasks:int -> (int -> 'a) -> 'a array
-(** Pure per-task map collected into an array ([map_array f] is
-    equivalent to [Array.init tasks f]). The closure must be safe to
-    call from any domain. *)
-
 (** {1 Supervision}
 
     The paper's cluster treats worker failure as routine (Appendix
     C.3); so do we. Under a supervision policy, an exception raised by
-    a worker domain is caught and attributed to the task index that
-    raised instead of tearing down the run; the failed slice is
+    a task is caught and attributed to the task index that raised
+    instead of tearing down the run, and the failed chunk is
     re-executed from a fresh accumulator — spawned retries with
     exponential backoff first, then one final serial attempt in the
-    calling domain. Because every slice folds from a fresh accumulator
-    over its own contiguous index range and the reduction remains a
-    left fold in worker order, re-execution is invisible: results stay
-    bit-identical to a fault-free run for any worker count. Tasks that
-    publish per-index side results (arrays indexed by task) are safe
-    as long as re-running an index overwrites the slot with the same
-    value, which deterministic tasks do by construction. *)
+    calling domain. Re-execution is invisible to the results: each
+    task still reaches the final fold exactly once, and a task that
+    publishes a per-index side result overwrites its slot with the
+    same value, which deterministic tasks do by construction. *)
 
 type failure = { index : int; attempts : int; error : string }
 (** One task slot that kept failing: the raising task index of the
@@ -87,11 +54,11 @@ type failure = { index : int; attempts : int; error : string }
     exception. *)
 
 exception Supervision_failed of failure list
-(** Raised (in the calling domain) when slices still fail after the
-    retry budget; carries every dead slice, sorted by task index. *)
+(** Raised (in the calling domain) when chunks still fail after the
+    retry budget; carries every dead chunk, sorted by task index. *)
 
 exception Watchdog_timeout
-(** Raised {e inside} a guarded slice when the watchdog cancelled it;
+(** Raised {e inside} a guarded chunk when the watchdog cancelled it;
     callers never see it directly — it surfaces as the [error] string
     of a {!failure} once the retry budget is spent. *)
 
@@ -107,10 +74,10 @@ val supervision :
   ?on_retry:(attempt:int -> index:int -> error:string -> unit) ->
   unit ->
   supervision
-(** A supervision policy: up to [retries] re-attempts per failed slice
+(** A supervision policy: up to [retries] re-attempts per failed chunk
     (default 2) beyond the first; the last allowed attempt always runs
     serially in the calling domain. Before the k-th re-attempt of the
-    slice owning task [index], the retrying domain sleeps a capped
+    chunk owning task [index], the retrying domain sleeps a capped
     exponential backoff with deterministic jitter —
     [min backoff_cap (backoff * 2^(k-2)) * (0.5 + 0.5 * u)] with [u] a
     pure hash of [(jitter_seed, k, index)] (defaults: 5ms base, 250ms
@@ -118,8 +85,8 @@ val supervision :
     storm yet replay identically run to run.
 
     [timeout_ms > 0] arms the watchdog (default off): a monitor thread
-    polls per-slice heartbeat words and cancels any slice that makes
-    no progress for longer than the timeout; the cancelled slice
+    polls per-worker heartbeat words and cancels any worker that makes
+    no progress for longer than the timeout; the cancelled chunk
     unwinds cooperatively (at its next task boundary, or immediately
     for the [pool.hang] fault) and re-executes through the ordinary
     retry machinery, preserving bit-identical results. The timeout
@@ -142,27 +109,6 @@ val backoff_delay : supervision -> attempt:int -> index:int -> float
     given attempt number and task index — exposed so the
     backoff/jitter schedule is testable. *)
 
-val map_reduce_supervised :
-  supervision ->
-  workers:int ->
-  tasks:int ->
-  init:(unit -> 'acc) ->
-  task:('acc -> int -> unit) ->
-  combine:('acc -> 'acc -> 'acc) ->
-  'acc
-(** {!map_reduce} under a supervision policy. *)
-
-val map_reduce_chunked_supervised :
-  supervision ->
-  workers:int ->
-  tasks:int ->
-  grain:int ->
-  init:(unit -> 'acc) ->
-  task:('acc -> int -> unit) ->
-  combine:('acc -> 'acc -> 'acc) ->
-  'acc
-(** {!map_reduce_chunked} under a supervision policy. *)
-
 val map_reduce_dynamic_supervised :
   supervision ->
   workers:int ->
@@ -172,22 +118,33 @@ val map_reduce_dynamic_supervised :
   task:('acc -> int -> unit) ->
   combine:('acc -> 'acc -> 'acc) ->
   'acc
-(** Dynamic (self-scheduled) variant: workers repeatedly claim the
-    next [grain]-sized contiguous chunk off a shared atomic counter
-    until the index space is exhausted, so one heavy-tailed task — a
-    destination with many admitted candidate probes, say — delays
-    only the worker that drew it, not the whole static slice behind
-    it. Which worker runs which chunk is {e nondeterministic}; the
-    deterministic-results contract is therefore narrower than
-    {!map_reduce}'s: the caller must either publish per-task side
-    results keyed by index and ignore the accumulators (as the engine
-    sweep does), or use a reduction invariant under regrouping of
-    tasks into accumulators. With [workers = 1] this degrades to
-    {!map_reduce_supervised}, i.e. a serial in-order fold.
-    Supervision is chunk-grained: failed chunks re-execute from fresh
-    accumulators (appended after the worker accumulators in the final
-    fold), and failures surviving the budget raise
+(** [map_reduce_dynamic_supervised sv ~workers ~tasks ~grain ~init
+    ~task ~combine] runs [task acc i] once for every [i] in
+    [0 .. tasks-1] under the policy [sv], and returns the worker
+    accumulators (each from [init]) combined with [combine].
+
+    Up to [workers] workers (at most one per chunk) repeatedly claim
+    the next [grain]-sized contiguous chunk off a shared atomic
+    counter, so one heavy-tailed task — a destination with many
+    admitted candidate probes, say — delays only the worker that drew
+    it. Which worker runs which chunk is {e nondeterministic}, so the
+    result is deterministic only when the tasks publish per-index
+    results keyed by [i] (the accumulator serving as worker-local
+    scratch, as in the engine and the statics store), or when the
+    reduction does not depend on how tasks are grouped into
+    accumulators. With a single worker — [workers = 1], or a single
+    chunk — the claim loop runs in the calling domain, leasing no bank
+    and spawning no domain, and a fault-free run is a serial fold in
+    ascending index order. [tasks <= 0] returns [init ()] without
+    calling [task].
+
+    Each task reaches the final fold exactly once, retries included:
+    when a chunk raises, the worker retires its accumulator (which
+    holds the chunk's prefix) and re-runs the chunks it had already
+    folded into a fresh one, and the failed chunk re-executes into
+    its own accumulator, appended after the worker accumulators in the
+    final fold. Failures surviving the budget raise
     {!Supervision_failed}. Under an armed watchdog a cancelled worker
-    stops claiming chunks; the calling domain drains any chunks left
-    unclaimed after the join, so every task index is executed exactly
-    as in a fault-free run. *)
+    stops claiming chunks, and the calling domain runs whatever it
+    left, so no task index is skipped. An exception escaping [init]
+    propagates to the caller after every worker has stopped. *)

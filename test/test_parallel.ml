@@ -1,110 +1,116 @@
 (* Tests for the domain pool (the DryadLINQ stand-in): results must be
-   identical regardless of worker count. *)
+   identical regardless of worker count.
+
+   There is one fan-out, [map_reduce_dynamic_supervised], and its
+   chunk->worker assignment is nondeterministic, so these tests use the
+   two sanctioned patterns — per-index slot publication (every call
+   site's shape) and reductions invariant under regrouping (sums) —
+   except at one worker, where the fold is serial and in order. *)
 
 module Pool = Parallel.Pool
 
 let check = Alcotest.check
 
-let test_map_reduce_sum () =
-  let tasks = 1000 in
-  let expected = tasks * (tasks - 1) / 2 in
-  List.iter
-    (fun workers ->
-      let total =
-        Pool.map_reduce ~workers ~tasks
-          ~init:(fun () -> ref 0)
-          ~task:(fun acc i -> acc := !acc + i)
-          ~combine:(fun a b ->
-            a := !a + !b;
-            a)
-      in
-      check Alcotest.int (Printf.sprintf "workers=%d" workers) expected !total)
-    [ 1; 2; 4; 7 ]
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
+  at 0
 
-let test_map_reduce_order_deterministic () =
-  (* The reduction is a left fold over worker index: collecting slices
-     must give task order regardless of worker count. *)
-  let tasks = 97 in
-  let collect workers =
-    !(Pool.map_reduce ~workers ~tasks
-        ~init:(fun () -> ref [])
-        ~task:(fun acc i -> acc := !acc @ [ i ])
-        ~combine:(fun a b ->
-          a := !a @ !b;
-          a))
-  in
-  check Alcotest.(list int) "identity order" (List.init tasks (fun i -> i)) (collect 1);
-  check Alcotest.(list int) "same with 4 workers" (collect 1) (collect 4)
+let sum_with ?(grain = 8) sv ~workers ~tasks task_hook =
+  !(Pool.map_reduce_dynamic_supervised sv ~workers ~tasks ~grain
+      ~init:(fun () -> ref 0)
+      ~task:(fun acc i ->
+        task_hook i;
+        acc := !acc + i)
+      ~combine:(fun a b ->
+        a := !a + !b;
+        a))
+
+let sum ?grain sv ~workers ~tasks = sum_with ?grain sv ~workers ~tasks ignore
+
+let closed_form tasks = tasks * (tasks - 1) / 2
+
+(* Per-index slot publication: the accumulator is unused scratch. *)
+let slots sv ~workers ~tasks ~grain f =
+  let out = Array.make tasks None in
+  Pool.map_reduce_dynamic_supervised sv ~workers ~tasks ~grain
+    ~init:(fun () -> ())
+    ~task:(fun () i -> out.(i) <- Some (f i))
+    ~combine:(fun () () -> ());
+  Array.map Option.get out
+
+let test_map_reduce_sums () =
+  (* Every (workers, grain) shape, including a single chunk covering
+     all tasks (grain >= tasks). *)
+  let tasks = 1000 in
+  List.iter
+    (fun (workers, grain) ->
+      check Alcotest.int
+        (Printf.sprintf "workers=%d grain=%d" workers grain)
+        (closed_form tasks)
+        (sum ~grain Pool.no_supervision ~workers ~tasks))
+    [ (1, 1); (2, 1); (4, 8); (7, 8); (4, 1000); (7, 5000) ]
 
 let test_map_array () =
-  let sq = Pool.map_array ~workers:3 ~tasks:50 (fun i -> i * i) in
-  check Alcotest.(array int) "equals Array.init" (Array.init 50 (fun i -> i * i)) sq;
-  check Alcotest.(array int) "empty" [||] (Pool.map_array ~workers:3 ~tasks:0 (fun i -> i))
+  (* Boxed per-index slots at grain 1 (the per-job shape of
+     [Scenario.run_many_outcomes]) equal [Array.init]. *)
+  let f i = Printf.sprintf "job-%d" (i * i) in
+  check
+    Alcotest.(array string)
+    "equals Array.init" (Array.init 50 f)
+    (slots Pool.no_supervision ~workers:3 ~tasks:50 ~grain:1 f);
+  check
+    Alcotest.(array string)
+    "empty" [||]
+    (slots Pool.no_supervision ~workers:3 ~tasks:0 ~grain:1 f)
 
 let test_more_workers_than_tasks () =
-  let r = Pool.map_array ~workers:16 ~tasks:3 (fun i -> i + 1) in
-  check Alcotest.(array int) "clamped" [| 1; 2; 3 |] r
+  check
+    Alcotest.(array int)
+    "clamped" [| 1; 2; 3 |]
+    (slots Pool.no_supervision ~workers:16 ~tasks:3 ~grain:1 (fun i -> i + 1))
 
 let test_zero_tasks () =
   (* tasks = 0 must return the bare initial accumulator, for any
-     worker count, without touching [task]. *)
-  List.iter
-    (fun workers ->
-      let r =
-        Pool.map_reduce ~workers ~tasks:0
-          ~init:(fun () -> ref 0)
-          ~task:(fun _ _ -> Alcotest.fail "task called with zero tasks")
-          ~combine:(fun a b ->
-            a := !a + !b;
-            a)
-      in
-      check Alcotest.int (Printf.sprintf "workers=%d" workers) 0 !r;
-      let rc =
-        Pool.map_reduce_chunked ~workers ~tasks:0 ~grain:4
-          ~init:(fun () -> ref 0)
-          ~task:(fun _ _ -> Alcotest.fail "task called with zero tasks")
-          ~combine:(fun a b ->
-            a := !a + !b;
-            a)
-      in
-      check Alcotest.int (Printf.sprintf "chunked workers=%d" workers) 0 !rc)
-    [ 1; 3 ]
-
-let test_chunked_matches_unchunked () =
-  (* The grain only reshapes scheduling: for every (workers, grain)
-     the chunked entry point must equal map_reduce at workers=1. *)
-  let tasks = 101 in
-  let collect f =
-    !(f
-        ~init:(fun () -> ref [])
-        ~task:(fun acc i -> acc := i :: !acc)
-        ~combine:(fun a b ->
-          a := !b @ !a;
-          a))
-  in
-  let reference = collect (Pool.map_reduce ~workers:1 ~tasks) in
+     worker count and grain, without touching [task]. *)
   List.iter
     (fun (workers, grain) ->
-      check
-        Alcotest.(list int)
-        (Printf.sprintf "workers=%d grain=%d" workers grain)
-        reference
-        (collect (Pool.map_reduce_chunked ~workers ~tasks ~grain)))
-    [ (1, 1); (4, 1); (4, 8); (4, 50); (4, 1000); (16, 7) ]
+      let r =
+        Pool.map_reduce_dynamic_supervised Pool.no_supervision ~workers ~tasks:0 ~grain
+          ~init:(fun () -> ref 0)
+          ~task:(fun _ _ -> Alcotest.fail "task called with zero tasks")
+          ~combine:(fun a b ->
+            a := !a + !b;
+            a)
+      in
+      check Alcotest.int (Printf.sprintf "workers=%d grain=%d" workers grain) 0 !r)
+    [ (1, 1); (1, 4); (3, 1); (3, 4) ]
 
-let test_chunked_combine_order () =
-  (* Worker-index order must survive the grain-derived worker clamp:
-     collecting slices gives ascending task order. *)
-  let tasks = 64 in
-  let r =
-    !(Pool.map_reduce_chunked ~workers:4 ~tasks ~grain:8
-        ~init:(fun () -> ref [])
-        ~task:(fun acc i -> acc := !acc @ [ i ])
-        ~combine:(fun a b ->
-          a := !a @ !b;
-          a))
-  in
-  check Alcotest.(list int) "ascending" (List.init tasks (fun i -> i)) r
+let test_single_worker_in_caller () =
+  (* One worker — workers = 1, or a single chunk — runs in the calling
+     domain: it leases no bank and spawns no domain. *)
+  let caller = (Domain.self () :> int) in
+  let counter name = Option.value ~default:0.0 (Nsobs.Metrics.value name) in
+  Nsobs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Nsobs.Metrics.set_enabled false)
+    (fun () ->
+      List.iter
+        (fun (workers, tasks, grain) ->
+          let label = Printf.sprintf "workers=%d tasks=%d grain=%d" workers tasks grain in
+          let leases = counter "pool_bank_lease_total"
+          and spawns = counter "pool_domain_spawn_total" in
+          let domains =
+            slots Pool.no_supervision ~workers ~tasks ~grain (fun _ ->
+                (Domain.self () :> int))
+          in
+          check Alcotest.bool (label ^ ": in the caller") true
+            (Array.for_all (( = ) caller) domains);
+          check (Alcotest.float 0.0) (label ^ ": no lease") leases
+            (counter "pool_bank_lease_total");
+          check (Alcotest.float 0.0) (label ^ ": no spawn") spawns
+            (counter "pool_domain_spawn_total"))
+        [ (1, 100, 8); (4, 8, 8); (4, 5, 64) ])
 
 let test_recommended_workers_positive () =
   check Alcotest.bool "at least one" true (Pool.recommended_workers () >= 1);
@@ -118,8 +124,10 @@ let test_recommended_workers_positive () =
   check Alcotest.bool "default is positive" true (Pool.default_workers () >= 1)
 
 let test_parallel_utility_matches_sequential () =
-  (* The real use: per-destination utility accumulation partitioned
-     across workers must equal the sequential computation. *)
+  (* The real use, in the engine's pattern: each destination publishes
+     its utility addend stream into its own slot, and a serial replay
+     in destination order performs the float additions — so the
+     utilities are bit-identical at every worker count. *)
   let params = Topology.Params.with_n Topology.Params.default 150 in
   let built = Topology.Gen.generate params in
   let g = built.graph in
@@ -135,69 +143,91 @@ let test_parallel_utility_matches_sequential () =
   let secure = Core.State.secure_bytes state in
   let use_secp = Core.State.use_secp_bytes state ~stub_tiebreak:true in
   let compute workers =
-    let acc =
-      Pool.map_reduce ~workers ~tasks:n
-        ~init:(fun () -> (Bgp.Forest.make_scratch n, Array.make n 0.0))
-        ~task:(fun (scratch, into) d ->
-          let info = Bgp.Route_static.get statics d in
-          Bgp.Forest.compute info ~tiebreak:Bgp.Policy.Lowest_id ~secure ~use_secp
-            ~weight scratch;
-          Core.Utility.accumulate Core.Config.Outgoing g info scratch ~weight ~into)
-        ~combine:(fun (s, a) (_, b) ->
-          Array.iteri (fun i v -> a.(i) <- a.(i) +. v) b;
-          (s, a))
-    in
-    snd acc
+    let pairs = Array.make n ([||], [||]) in
+    Pool.map_reduce_dynamic_supervised Pool.no_supervision ~workers ~tasks:n ~grain:8
+      ~init:(fun () -> Bgp.Forest.make_scratch n)
+      ~task:(fun scratch d ->
+        let info = Bgp.Route_static.get statics d in
+        Bgp.Forest.compute info ~tiebreak:Bgp.Policy.Lowest_id ~secure ~use_secp ~weight
+          scratch;
+        pairs.(d) <-
+          Core.Utility.contribution_pairs Core.Config.Outgoing g info scratch ~weight)
+      ~combine:(fun s _ -> s)
+    |> ignore;
+    let into = Array.make n 0.0 in
+    Array.iter (fun p -> Core.Utility.add_pairs p ~into) pairs;
+    into
   in
   let seq = compute 1 in
-  let par = compute 4 in
-  check Alcotest.(array (float 1e-9)) "bit-identical utilities" seq par
+  List.iter
+    (fun workers ->
+      check
+        Alcotest.(array (float 0.0))
+        (Printf.sprintf "bit-identical utilities, workers=%d" workers)
+        seq (compute workers))
+    [ 2; 4 ]
+
+let test_engine_fanouts_on_bank () =
+  (* Every engine fan-out (statics prefill, baseline, sweep) runs on
+     the parked worker bank: once the bank is warm, a whole fault-free
+     run leases it and spawns no domain. *)
+  let built =
+    Topology.Gen.generate
+      { (Topology.Params.with_n Topology.Params.default 120) with seed = 11 }
+  in
+  let g = built.graph in
+  let run () =
+    let statics = Bgp.Route_static.create g in
+    let weight = Traffic.Weights.assign g ~cp_fraction:0.1 in
+    let state =
+      Core.State.create g ~early:(built.cps @ Asgraph.Metrics.top_by_degree g 5)
+    in
+    ignore
+      (Core.Engine.run
+         { Core.Config.default with workers = 2; retries = 2 }
+         statics ~weight ~state)
+  in
+  let counter name = Option.value ~default:0.0 (Nsobs.Metrics.value name) in
+  Nsobs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Nsobs.Metrics.set_enabled false)
+    (fun () ->
+      run ();
+      let spawns = counter "pool_domain_spawn_total"
+      and leases = counter "pool_bank_lease_total" in
+      run ();
+      check (Alcotest.float 0.0) "no domain spawned" spawns
+        (counter "pool_domain_spawn_total");
+      check Alcotest.bool "the bank was leased" true
+        (counter "pool_bank_lease_total" > leases))
 
 (* ------------------------------------------------------------------ *)
 (* Supervision *)
 
-let sum_supervised sv workers tasks =
-  !(Pool.map_reduce_supervised sv ~workers ~tasks
-      ~init:(fun () -> ref 0)
-      ~task:(fun acc i -> acc := !acc + i)
-      ~combine:(fun a b ->
-        a := !a + !b;
-        a))
-
 let test_supervised_matches_unsupervised () =
+  (* An armed policy (retry budget and watchdog) changes nothing on a
+     fault-free run. *)
   let tasks = 513 in
-  let expected = tasks * (tasks - 1) / 2 in
+  let armed = Pool.supervision ~retries:2 ~backoff:0.0 ~timeout_ms:10_000 () in
   List.iter
     (fun workers ->
       check Alcotest.int
         (Printf.sprintf "workers=%d" workers)
-        expected
-        (sum_supervised Pool.no_supervision workers tasks))
-    [ 1; 2; 4; 7 ];
-  check Alcotest.int "chunked" expected
-    !(Pool.map_reduce_chunked_supervised Pool.no_supervision ~workers:4 ~tasks ~grain:16
-        ~init:(fun () -> ref 0)
-        ~task:(fun acc i -> acc := !acc + i)
-        ~combine:(fun a b ->
-          a := !a + !b;
-          a))
+        (sum Pool.no_supervision ~workers ~tasks)
+        (sum armed ~workers ~tasks))
+    [ 1; 2; 4; 7 ]
 
 let test_supervised_zero_tasks () =
-  let r =
-    Pool.map_reduce_supervised Pool.no_supervision ~workers:3 ~tasks:0
-      ~init:(fun () -> ref 0)
-      ~task:(fun _ _ -> Alcotest.fail "task called with zero tasks")
-      ~combine:(fun a b ->
-        a := !a + !b;
-        a)
-  in
-  check Alcotest.int "bare accumulator" 0 !r
+  (* No task, no fault trip: an always-firing plan stays untouched. *)
+  let faults = Nsutil.Faults.create ~rate:1.0 ~budget:5 ~seed:1 () in
+  let sv = Pool.supervision ~retries:2 ~backoff:0.0 ~timeout_ms:50 ~faults () in
+  check Alcotest.int "bare accumulator" 0 (sum sv ~workers:3 ~tasks:0);
+  check Alcotest.int "no fault tripped" 0 (Nsutil.Faults.shots faults)
 
 let test_supervised_retries_recover () =
   (* Injected faults within the budget are invisible: same sum, and
      the retry callback saw the contained failures. *)
   let tasks = 200 in
-  let expected = tasks * (tasks - 1) / 2 in
   let faults = Nsutil.Faults.create ~rate:1.0 ~budget:2 ~seed:3 () in
   let retried = ref 0 in
   let sv =
@@ -205,7 +235,7 @@ let test_supervised_retries_recover () =
       ~on_retry:(fun ~attempt:_ ~index:_ ~error:_ -> incr retried)
       ()
   in
-  check Alcotest.int "sum unchanged" expected (sum_supervised sv 4 tasks);
+  check Alcotest.int "sum unchanged" (closed_form tasks) (sum sv ~workers:4 ~tasks);
   check Alcotest.bool "faults actually fired" true (Nsutil.Faults.fired faults = 2);
   check Alcotest.bool "retries happened" true (!retried > 0)
 
@@ -215,9 +245,26 @@ let test_supervised_serial_fallback () =
      re-execution, with the sum unchanged. *)
   let faults = Nsutil.Faults.create ~rate:1.0 ~budget:1 ~seed:5 ~after:10 () in
   let sv = Pool.supervision ~retries:1 ~backoff:0.0 ~faults () in
-  let r = sum_supervised sv 4 100 in
-  check Alcotest.int "one injection absorbed by the serial retry" (100 * 99 / 2) r;
+  check Alcotest.int "one injection absorbed by the serial retry" (closed_form 100)
+    (sum sv ~workers:4 ~tasks:100);
   check Alcotest.int "the injection fired" 1 (Nsutil.Faults.fired faults)
+
+let test_failed_chunk_folded_once () =
+  (* A chunk that raises midway has already folded its prefix into the
+     worker's accumulator; the retry must not fold that prefix a
+     second time. One transient failure at index 19 (chunk 16..23):
+     double counting would add 16+17+18 = 51. *)
+  List.iter
+    (fun workers ->
+      let first = Atomic.make true in
+      let total =
+        sum_with (Pool.supervision ~retries:2 ~backoff:0.0 ()) ~workers ~tasks:64 (fun i ->
+            if i = 19 && Atomic.compare_and_set first true false then
+              failwith "transient fault at 19")
+      in
+      check Alcotest.int (Printf.sprintf "workers=%d" workers) (closed_form 64) total;
+      check Alcotest.bool "the fault fired" false (Atomic.get first))
+    [ 1; 2; 4 ]
 
 let test_supervised_failure_attribution () =
   (* A deterministic always-failing task index: supervision must name
@@ -229,88 +276,65 @@ let test_supervised_failure_attribution () =
       ()
   in
   match
-    Pool.map_reduce_supervised sv ~workers:4 ~tasks:64
-      ~init:(fun () -> ref 0)
-      ~task:(fun acc i -> if i = 37 then failwith "task 37 is cursed" else acc := !acc + i)
-      ~combine:(fun a b ->
-        a := !a + !b;
-        a)
+    sum_with sv ~workers:4 ~tasks:64 (fun i -> if i = 37 then failwith "task 37 is cursed")
   with
   | _ -> Alcotest.fail "expected Supervision_failed"
   | exception Pool.Supervision_failed [ { Pool.index; attempts = n; error } ] ->
       check Alcotest.int "failing index" 37 index;
       (* initial attempt + 2 retries, the last serial *)
       check Alcotest.int "attempts" 3 n;
-      check Alcotest.bool "error preserved" true
-        (String.length error > 0
-        &&
-        let rec find i =
-          i + 6 <= String.length error && (String.sub error i 6 = "cursed" || find (i + 1))
-        in
-        find 0);
+      check Alcotest.bool "error preserved" true (contains error "cursed");
       check Alcotest.bool "on_retry saw the index" true
         (List.for_all (fun (_, i) -> i = 37) !attempts && List.length !attempts = 2)
   | exception Pool.Supervision_failed l ->
       Alcotest.failf "expected exactly one failure, got %d" (List.length l)
 
 let test_supervised_multiple_failures_aggregated () =
-  (* Failures in distinct slices are all reported, sorted by task
-     index, not just the first one. *)
+  (* Failures in distinct chunks are all reported, sorted by task
+     index, one per chunk. The chunks that fold fine are re-run when a
+     failure retires their worker's accumulator; they must not be
+     reported. *)
   match
-    Pool.map_reduce_supervised
+    sum_with ~grain:10
       (Pool.supervision ~retries:0 ~backoff:0.0 ())
       ~workers:4 ~tasks:100
-      ~init:(fun () -> ref 0)
-      ~task:(fun acc i -> if i mod 30 = 7 then failwith "boom" else acc := !acc + i)
-      ~combine:(fun a b ->
-        a := !a + !b;
-        a)
+      (fun i -> if i mod 30 = 7 then failwith "boom")
   with
   | _ -> Alcotest.fail "expected Supervision_failed"
   | exception Pool.Supervision_failed failures ->
-      let indices = List.map (fun f -> f.Pool.index) failures in
-      (* one failure per slice, attributed to the first failing task *)
-      check Alcotest.bool "ascending indices" true
-        (List.sort compare indices = indices);
-      check Alcotest.bool "several slices failed" true (List.length failures > 1);
-      List.iter
-        (fun i -> check Alcotest.int "first failing task of its slice" 7 (i mod 30))
-        indices
+      check
+        Alcotest.(list int)
+        "first failing task of each failing chunk, ascending" [ 7; 37; 67; 97 ]
+        (List.map (fun f -> f.Pool.index) failures);
+      List.iter (fun f -> check Alcotest.int "attempts" 1 f.Pool.attempts) failures
 
 let test_supervised_engine_parity_under_faults () =
-  (* The real integration: an engine-shaped accumulation with faults
-     injected and retried must equal the fault-free run bit for bit. *)
+  (* The engine's shape under faults: per-index float addends, then a
+     serial replay into a few buckets, bit-identical between a clean
+     run and a faulted one at every worker count. *)
   let tasks = 300 in
-  let run sv =
-    Pool.map_reduce_chunked_supervised sv ~workers:4 ~tasks ~grain:8
-      ~init:(fun () -> Array.make 4 0.0)
-      ~task:(fun acc i -> acc.(i mod 4) <- acc.(i mod 4) +. (1.0 /. float_of_int (i + 1)))
-      ~combine:(fun a b ->
-        Array.iteri (fun k v -> a.(k) <- a.(k) +. v) b;
-        a)
+  let run sv workers =
+    let addend = Array.make tasks 0.0 in
+    Pool.map_reduce_dynamic_supervised sv ~workers ~tasks ~grain:8
+      ~init:(fun () -> ())
+      ~task:(fun () i -> addend.(i) <- 1.0 /. float_of_int (i + 1))
+      ~combine:(fun () () -> ());
+    let buckets = Array.make 4 0.0 in
+    Array.iteri (fun i v -> buckets.(i mod 4) <- buckets.(i mod 4) +. v) addend;
+    buckets
   in
-  let clean = run Pool.no_supervision in
-  let faults = Nsutil.Faults.create ~rate:0.05 ~budget:2 ~seed:11 () in
-  let faulted = run (Pool.supervision ~retries:2 ~backoff:0.0 ~faults ()) in
-  check Alcotest.(array (float 0.0)) "bit-identical floats" clean faulted;
-  check Alcotest.int "faults fired" 2 (Nsutil.Faults.fired faults)
+  let clean = run Pool.no_supervision 1 in
+  List.iter
+    (fun workers ->
+      let faults = Nsutil.Faults.create ~rate:0.05 ~budget:2 ~seed:11 () in
+      let faulted = run (Pool.supervision ~retries:2 ~backoff:0.0 ~faults ()) workers in
+      let label = Printf.sprintf "workers=%d" workers in
+      check Alcotest.(array (float 0.0)) (label ^ ": bit-identical floats") clean faulted;
+      check Alcotest.int (label ^ ": faults fired") 2 (Nsutil.Faults.fired faults))
+    [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* Dynamic (self-scheduled) map/reduce *)
-
-(* The dynamic scheduler's determinism contract is narrower: chunk->
-   worker assignment is nondeterministic, so these tests exercise the
-   two sanctioned usage patterns — per-index slot publication (the
-   engine sweep's shape) and regrouping-invariant reductions. *)
-
-let dynamic_slots sv workers tasks grain f =
-  let out = Array.make (max tasks 1) 0 in
-  ignore
-    (Pool.map_reduce_dynamic_supervised sv ~workers ~tasks ~grain
-       ~init:(fun () -> ())
-       ~task:(fun () i -> out.(i) <- f i)
-       ~combine:(fun () () -> ()));
-  out
+(* Dynamic (self-scheduled) chunk claiming *)
 
 let test_dynamic_per_index_slots () =
   (* Per-index slot publication must equal Array.init for every
@@ -319,12 +343,11 @@ let test_dynamic_per_index_slots () =
   let f i = (i * 7) + 3 in
   List.iter
     (fun (workers, tasks, grain) ->
-      let expected = Array.init (max tasks 1) (fun i -> if i < tasks then f i else 0) in
       check
         Alcotest.(array int)
         (Printf.sprintf "workers=%d tasks=%d grain=%d" workers tasks grain)
-        expected
-        (dynamic_slots Pool.no_supervision workers tasks grain f))
+        (Array.init tasks f)
+        (slots Pool.no_supervision ~workers ~tasks ~grain f))
     [ (1, 100, 8); (3, 17, 4); (4, 100, 8); (4, 3, 8); (7, 97, 1); (2, 64, 64) ]
 
 let test_dynamic_sum_regrouping_invariant () =
@@ -332,24 +355,18 @@ let test_dynamic_sum_regrouping_invariant () =
      accumulators, so it is safe under dynamic scheduling and must
      match the closed form for any worker count. *)
   let tasks = 500 in
-  let expected = tasks * (tasks - 1) / 2 in
   List.iter
     (fun workers ->
-      let total =
-        !(Pool.map_reduce_dynamic_supervised Pool.no_supervision ~workers ~tasks ~grain:8
-            ~init:(fun () -> ref 0)
-            ~task:(fun acc i -> acc := !acc + i)
-            ~combine:(fun a b ->
-              a := !a + !b;
-              a))
-      in
-      check Alcotest.int (Printf.sprintf "workers=%d" workers) expected total)
+      check Alcotest.int
+        (Printf.sprintf "workers=%d" workers)
+        (closed_form tasks)
+        (sum Pool.no_supervision ~workers ~tasks))
     [ 1; 2; 4; 7 ]
 
 let test_dynamic_workers1_in_order () =
-  (* workers = 1 degrades to the serial supervised fold: tasks run in
-     ascending index order, so even order-sensitive accumulators are
-     safe there. *)
+  (* A single worker claims chunks in ascending order in the calling
+     domain: tasks run in index order, so even order-sensitive
+     accumulators are safe there. *)
   let tasks = 53 in
   let r =
     !(Pool.map_reduce_dynamic_supervised Pool.no_supervision ~workers:1 ~tasks ~grain:4
@@ -362,39 +379,23 @@ let test_dynamic_workers1_in_order () =
   check Alcotest.(list int) "ascending" (List.init tasks (fun i -> i)) r
 
 let test_dynamic_zero_tasks () =
-  let r =
-    Pool.map_reduce_dynamic_supervised Pool.no_supervision ~workers:4 ~tasks:0 ~grain:8
-      ~init:(fun () -> ref 0)
-      ~task:(fun _ _ -> Alcotest.fail "task called with zero tasks")
-      ~combine:(fun a b ->
-        a := !a + !b;
-        a)
-  in
-  check Alcotest.int "bare accumulator" 0 !r
+  check Alcotest.int "bare accumulator" 0
+    (sum_with Pool.no_supervision ~workers:4 ~tasks:0 (fun _ ->
+         Alcotest.fail "task called with zero tasks"))
 
 let test_dynamic_failure_attribution () =
   (* With a zero retry budget a deterministically cursed index must
      surface in Supervision_failed, attributed by task index. *)
   match
-    Pool.map_reduce_dynamic_supervised
+    sum_with
       (Pool.supervision ~retries:0 ~backoff:0.0 ())
-      ~workers:4 ~tasks:64 ~grain:8
-      ~init:(fun () -> ref 0)
-      ~task:(fun acc i -> if i = 42 then failwith "task 42 is cursed" else acc := !acc + i)
-      ~combine:(fun a b ->
-        a := !a + !b;
-        a)
+      ~workers:4 ~tasks:64
+      (fun i -> if i = 42 then failwith "task 42 is cursed")
   with
   | _ -> Alcotest.fail "expected Supervision_failed"
   | exception Pool.Supervision_failed [ { Pool.index; error; _ } ] ->
       check Alcotest.int "failing index" 42 index;
-      check Alcotest.bool "error preserved" true
-        (String.length error > 0
-        &&
-        let rec find i =
-          i + 6 <= String.length error && (String.sub error i 6 = "cursed" || find (i + 1))
-        in
-        find 0)
+      check Alcotest.bool "error preserved" true (contains error "cursed")
   | exception Pool.Supervision_failed l ->
       Alcotest.failf "expected exactly one failure, got %d" (List.length l)
 
@@ -403,17 +404,15 @@ let test_dynamic_retries_recover () =
      succeeds on re-execution — must be absorbed by chunk retries, with
      every slot still correct. *)
   let first = Atomic.make true in
-  let out = Array.make 64 (-1) in
-  ignore
-    (Pool.map_reduce_dynamic_supervised
-       (Pool.supervision ~retries:2 ~backoff:0.0 ())
-       ~workers:4 ~tasks:64 ~grain:8
-       ~init:(fun () -> ())
-       ~task:(fun () i ->
-         if i = 19 && Atomic.compare_and_set first true false then
-           failwith "transient fault at 19";
-         out.(i) <- i * 2)
-       ~combine:(fun () () -> ()));
+  let out =
+    slots
+      (Pool.supervision ~retries:2 ~backoff:0.0 ())
+      ~workers:4 ~tasks:64 ~grain:8
+      (fun i ->
+        if i = 19 && Atomic.compare_and_set first true false then
+          failwith "transient fault at 19";
+        i * 2)
+  in
   check Alcotest.(array int) "all slots published" (Array.init 64 (fun i -> i * 2)) out;
   check Alcotest.bool "the fault actually fired" true (not (Atomic.get first))
 
@@ -422,13 +421,7 @@ let test_dynamic_float_parity_under_faults () =
      fault-injected run with retries: re-running an index overwrites
      its slot with the same value. *)
   let run sv =
-    let out = Array.make 300 0.0 in
-    ignore
-      (Pool.map_reduce_dynamic_supervised sv ~workers:4 ~tasks:300 ~grain:8
-         ~init:(fun () -> ())
-         ~task:(fun () i -> out.(i) <- 1.0 /. float_of_int (i + 1))
-         ~combine:(fun () () -> ()));
-    out
+    slots sv ~workers:4 ~tasks:300 ~grain:8 (fun i -> 1.0 /. float_of_int (i + 1))
   in
   let clean = run Pool.no_supervision in
   let faults = Nsutil.Faults.create ~rate:0.05 ~budget:3 ~seed:17 () in
@@ -446,10 +439,11 @@ let hang_plan ~after =
     [ (Some "pool.hang", { Nsutil.Faults.seed = 7; rate = 1.0; budget = 1; after }) ]
 
 let test_watchdog_recovers_hung_task () =
-  (* One injected hang stalls a slice until the watchdog cancels it;
-     the retry re-executes the slice and the sum is unchanged. *)
+  (* One injected hang stalls the single worker in the calling domain
+     until the watchdog cancels it; the calling domain then runs what
+     is left and the retry re-executes the cancelled chunk, so the sum
+     is unchanged. *)
   let tasks = 100 in
-  let expected = tasks * (tasks - 1) / 2 in
   let faults = hang_plan ~after:20 in
   let retried = ref [] in
   let sv =
@@ -457,9 +451,26 @@ let test_watchdog_recovers_hung_task () =
       ~on_retry:(fun ~attempt:_ ~index:_ ~error -> retried := error :: !retried)
       ()
   in
-  check Alcotest.int "sum unchanged" expected (sum_supervised sv 4 tasks);
+  check Alcotest.int "sum unchanged" (closed_form tasks) (sum sv ~workers:1 ~tasks);
   check Alcotest.int "the hang fired" 1 (Nsutil.Faults.fired faults);
-  check Alcotest.bool "a retry absorbed the cancelled slice" true (!retried <> [])
+  check Alcotest.bool "a retry absorbed the cancelled chunk" true (!retried <> [])
+
+let test_watchdog_cancelled_chunk_folded_once () =
+  (* A hang cancelled by the watchdog leaves the chunk's prefix in the
+     cancelled worker's accumulator; it must not be folded twice.
+     Four chunks of 16 and the hang on the 57th task boundary: the
+     other three chunks account for at most 48 boundaries, so the hang
+     always lands at offset >= 8 of its chunk, whatever the schedule. *)
+  List.iter
+    (fun workers ->
+      let faults = hang_plan ~after:56 in
+      let sv = Pool.supervision ~retries:2 ~backoff:0.0 ~timeout_ms:50 ~faults () in
+      check Alcotest.int
+        (Printf.sprintf "workers=%d" workers)
+        (closed_form 64)
+        (sum ~grain:16 sv ~workers ~tasks:64);
+      check Alcotest.int "the hang fired" 1 (Nsutil.Faults.fired faults))
+    [ 2; 4 ]
 
 let test_watchdog_unarmed_hang_degrades () =
   (* With no timeout armed the injected hang must degrade to an
@@ -467,25 +478,22 @@ let test_watchdog_unarmed_hang_degrades () =
      absorbs it like any other fault. *)
   let tasks = 64 in
   let sv = Pool.supervision ~retries:2 ~backoff:0.0 ~faults:(hang_plan ~after:5) () in
-  check Alcotest.int "sum unchanged" (tasks * (tasks - 1) / 2) (sum_supervised sv 4 tasks)
+  check Alcotest.int "sum unchanged" (closed_form tasks) (sum sv ~workers:4 ~tasks)
 
 let test_watchdog_dynamic_drain () =
-  (* The self-scheduled path: a hang in one chunk is cancelled, the
-     calling domain drains the chunks the cancelled worker never
-     claimed, and the retry republishes the failed chunk's slots — no
-     index lost, every slot correct (per-index slots, the engine
-     sweep's contract). *)
+  (* A hang in one chunk is cancelled, the calling domain drains the
+     chunks the cancelled worker never claimed, and the retry
+     republishes the failed chunk's slots — no index lost, every slot
+     correct. *)
   let tasks = 120 in
-  let out = Array.make tasks (-1) in
   let sv =
     Pool.supervision ~retries:2 ~backoff:0.0 ~timeout_ms:50 ~faults:(hang_plan ~after:30) ()
   in
-  ignore
-    (Pool.map_reduce_dynamic_supervised sv ~workers:4 ~tasks ~grain:8
-       ~init:(fun () -> ())
-       ~task:(fun () i -> out.(i) <- i * 3)
-       ~combine:(fun () () -> ()));
-  check Alcotest.(array int) "all slots published" (Array.init tasks (fun i -> i * 3)) out
+  check
+    Alcotest.(array int)
+    "all slots published"
+    (Array.init tasks (fun i -> i * 3))
+    (slots sv ~workers:4 ~tasks ~grain:8 (fun i -> i * 3))
 
 let test_backoff_delay_schedule () =
   (* The retry sleep schedule is a pure function of (jitter_seed,
@@ -509,7 +517,7 @@ let test_backoff_delay_schedule () =
   (* Far attempts saturate at the cap (times the jitter factor). *)
   let d9 = Pool.backoff_delay a ~attempt:9 ~index:0 in
   check Alcotest.bool "capped" true (d9 <= 0.3 && d9 >= 0.15);
-  (* Distinct indices draw distinct jitter: retrying slices never
+  (* Distinct indices draw distinct jitter: retrying chunks never
      synchronize their sleeps. *)
   check Alcotest.bool "decorrelated across indices" true
     (Pool.backoff_delay a ~attempt:4 ~index:1 <> Pool.backoff_delay a ~attempt:4 ~index:2);
@@ -522,17 +530,17 @@ let () =
     [
       ( "pool",
         [
-          Alcotest.test_case "map_reduce sums" `Quick test_map_reduce_sum;
-          Alcotest.test_case "deterministic reduction order" `Quick
-            test_map_reduce_order_deterministic;
+          Alcotest.test_case "map_reduce sums" `Quick test_map_reduce_sums;
           Alcotest.test_case "map_array" `Quick test_map_array;
           Alcotest.test_case "more workers than tasks" `Quick test_more_workers_than_tasks;
           Alcotest.test_case "zero tasks" `Quick test_zero_tasks;
-          Alcotest.test_case "chunked = unchunked" `Quick test_chunked_matches_unchunked;
-          Alcotest.test_case "chunked combine order" `Quick test_chunked_combine_order;
+          Alcotest.test_case "single worker runs in the caller" `Quick
+            test_single_worker_in_caller;
           Alcotest.test_case "recommended workers" `Quick test_recommended_workers_positive;
           Alcotest.test_case "parallel utility = sequential" `Quick
             test_parallel_utility_matches_sequential;
+          Alcotest.test_case "engine fan-outs run on the bank" `Quick
+            test_engine_fanouts_on_bank;
         ] );
       ( "supervision",
         [
@@ -541,6 +549,7 @@ let () =
           Alcotest.test_case "zero tasks" `Quick test_supervised_zero_tasks;
           Alcotest.test_case "retries recover" `Quick test_supervised_retries_recover;
           Alcotest.test_case "serial fallback" `Quick test_supervised_serial_fallback;
+          Alcotest.test_case "failed chunk folded once" `Quick test_failed_chunk_folded_once;
           Alcotest.test_case "failure attribution" `Quick
             test_supervised_failure_attribution;
           Alcotest.test_case "multiple failures aggregated" `Quick
@@ -551,6 +560,8 @@ let () =
       ( "watchdog",
         [
           Alcotest.test_case "hung task recovered" `Quick test_watchdog_recovers_hung_task;
+          Alcotest.test_case "cancelled chunk folded once" `Quick
+            test_watchdog_cancelled_chunk_folded_once;
           Alcotest.test_case "unarmed hang degrades" `Quick
             test_watchdog_unarmed_hang_degrades;
           Alcotest.test_case "dynamic drain under hang" `Quick test_watchdog_dynamic_drain;

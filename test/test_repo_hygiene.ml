@@ -224,6 +224,32 @@ let test_dune_deps_tracked () =
           Alcotest.(check (list string)) "dune deps not tracked by git" [] untracked
       | _ -> ())
 
+(* One scheduling primitive: the pool is the only place in [lib/] that
+   spawns domains, and its interface declares a single fan-out. *)
+let test_one_scheduling_primitive () =
+  match find_root (Sys.getcwd ()) with
+  | None -> ()
+  | Some root -> (
+      match git_lines root "ls-files -- lib" with
+      | None -> ()
+      | Some files ->
+          let read f = In_channel.with_open_text (Filename.concat root f) In_channel.input_all in
+          let contains hay needle =
+            let nh = String.length hay and nn = String.length needle in
+            let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
+            at 0
+          in
+          Alcotest.(check (list string)) "Domain.spawn outside lib/parallel/pool.ml" []
+            (List.filter
+               (fun f -> f <> "lib/parallel/pool.ml" && contains (read f) "Domain.spawn")
+               files);
+          let fanouts =
+            String.split_on_char '\n' (read "lib/parallel/pool.mli")
+            |> List.filter (fun l ->
+                   String.starts_with ~prefix:"val map_reduce" (String.trim l))
+          in
+          Alcotest.(check int) "val map_reduce* in pool.mli" 1 (List.length fanouts))
+
 let () =
   Alcotest.run "repo_hygiene"
     [
@@ -238,5 +264,7 @@ let () =
           Alcotest.test_case "no tracked generated artifacts" `Quick
             test_no_tracked_generated_artifacts;
           Alcotest.test_case "dune deps are tracked" `Quick test_dune_deps_tracked;
+          Alcotest.test_case "one scheduling primitive" `Quick
+            test_one_scheduling_primitive;
         ] );
     ]
