@@ -15,8 +15,9 @@
       kernels the engine's wall clock is made of (statics build,
       fused forest sweep, flip probe) at workers 1 and the configured
       count, one full engine run (rounds/s), a statics-budget
-      differential (bounded store must match the unbounded run), and
-      peak RSS. Runs instead of parts 1-2. --smoke shrinks the graph
+      differential (bounded store must match the unbounded run), the
+      SHA-256 throughput under every checkpoint footer
+      (sha256_mb_per_s), and peak RSS. Runs instead of parts 1-2. --smoke shrinks the graph
       and time quotas to seconds-scale so the suite can gate
       [dune runtest] via the [bench-smoke] alias.
 
@@ -699,6 +700,21 @@ let run_json_bench ~path =
       let frame = Core.Checkpoint.load_exn ~path:ckpt_path ~digest:ckpt_digest in
       Bgp.Route_static.of_snapshot g frame.Core.Checkpoint.payload);
   Sys.remove ckpt_path;
+  (* SHA-256 throughput (MB = 1e6 bytes, as perfbench's
+     checkpoint.write_mb_per_s): the C compress every checkpoint
+     footer runs through, on one 5 MiB buffer, best of 5. *)
+  let sha256_mb_per_s =
+    let buf = String.make (5 * 1024 * 1024) 'h' in
+    let best = ref infinity in
+    for _ = 1 to 5 do
+      let t0 = Unix.gettimeofday () in
+      ignore (Sys.opaque_identity (Scrypto.Sha256.digest_string buf));
+      best := Float.min !best (Unix.gettimeofday () -. t0)
+    done;
+    float_of_int (String.length buf) /. 1e6 /. !best
+  in
+  Printf.printf "%-20s %10.1f MB/s  (5 MiB, best of 5)\n%!" "sha256_mb_per_s"
+    sha256_mb_per_s;
   (* Forest sweep: one full per-round sweep (all destinations) through
      the fused kernel, per-worker scratch — the shape of the engine's
      inner loop. *)
@@ -1120,6 +1136,7 @@ let run_json_bench ~path =
             (if i = nr - 1 then "" else ","))
         rows;
       b "  ]},\n");
+  b "  \"sha256_mb_per_s\": %.1f,\n" sha256_mb_per_s;
   b "  \"peak_rss_kb\": %d\n" (Option.value ~default:0 (Nsobs.Rss.peak_kb ()));
   b "}\n";
   let oc = open_out path in
@@ -1149,6 +1166,7 @@ let run_json_bench ~path =
       "\"ns_per_op\"";
       "\"rounds_per_s\"";
       "\"budget_differential\"";
+      "\"sha256_mb_per_s\"";
       "\"peak_rss_kb\"";
     ]
     @

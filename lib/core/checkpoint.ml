@@ -78,15 +78,14 @@ let m_bytes_written =
   lazy
     (Nsobs.Metrics.counter ~help:"checkpoint bytes written (framed)"
        "checkpoint_bytes_written_total")
-let duration_buckets = [| 0.1; 0.5; 1.; 5.; 10.; 50.; 100.; 500.; 1000. |]
 let m_write_ms =
   lazy
     (Nsobs.Metrics.histogram ~help:"checkpoint write duration (ms)"
-       ~buckets:duration_buckets "checkpoint_write_ms")
+       ~buckets:Nsobs.Metrics.duration_ms_buckets "checkpoint_write_ms")
 let m_load_ms =
   lazy
     (Nsobs.Metrics.histogram ~help:"checkpoint load duration (ms)"
-       ~buckets:duration_buckets "checkpoint_load_ms")
+       ~buckets:Nsobs.Metrics.duration_ms_buckets "checkpoint_load_ms")
 
 let timed hist f =
   if Nsobs.Metrics.enabled () then begin
@@ -109,20 +108,26 @@ let header_len_v v = 8 + 2 + (if v >= 2 then 2 else 0) + digest_len + 4 + 8
 let header_len = header_len_v version
 let footer_len = digest_len
 
-let frame_bytes ~kind ~digest ~round ~payload =
+let frame_header ~kind ~digest ~round ~payload_len =
   if String.length digest <> digest_len then
     invalid_arg "Checkpoint.write: digest must be 32 raw bytes";
-  let buf = Buffer.create (header_len + String.length payload + footer_len) in
+  let buf = Buffer.create header_len in
   Buffer.add_string buf magic;
   Buffer.add_uint16_be buf version;
   Buffer.add_uint16_be buf (kind_code kind);
   Buffer.add_string buf digest;
   Buffer.add_int32_be buf (Int32.of_int round);
-  Buffer.add_int64_be buf (Int64.of_int (String.length payload));
-  Buffer.add_string buf payload;
-  let body = Buffer.contents buf in
-  body ^ Sha256.digest_string body
+  Buffer.add_int64_be buf (Int64.of_int payload_len);
+  Buffer.contents buf
 
+let flip_byte s i =
+  let b = Bytes.of_string s in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x5a));
+  Bytes.unsafe_to_string b
+
+(* The frame is streamed: header and payload are hashed in place into
+   one context, then header, payload and footer go straight to the
+   channel, so no frame-sized buffer is ever built. *)
 let write ?faults ?(kind = Engine) ~path ~digest ~round payload =
   Nsobs.Trace.span ~cat:"checkpoint" "checkpoint.write" @@ fun () ->
   timed m_write_ms @@ fun () ->
@@ -134,34 +139,52 @@ let write ?faults ?(kind = Engine) ~path ~digest ~round payload =
   | Some f when Nsutil.Faults.fires f "checkpoint.io" <> None ->
       raise (Error (Io "injected fault (site checkpoint.io)"))
   | _ -> ());
-  let bytes = Bytes.of_string (frame_bytes ~kind ~digest ~round ~payload) in
-  (* Fault injection, site [checkpoint.corrupt]: flip one payload byte
-     *after* the checksum was computed — the canonical corruption a
-     reader must reject. *)
-  (match faults with
-  | Some f when Nsutil.Faults.fires f "checkpoint.corrupt" <> None ->
-      let i = header_len + (String.length payload / 2) in
-      Bytes.set bytes i (Char.chr (Char.code (Bytes.get bytes i) lxor 0x5a))
-  | _ -> ());
+  let payload_len = String.length payload in
+  let header = frame_header ~kind ~digest ~round ~payload_len in
+  let footer =
+    let ctx = Sha256.init () in
+    Sha256.feed ctx header;
+    Sha256.feed ctx payload;
+    Sha256.finalize ctx
+  in
+  (* Fault injection, site [checkpoint.corrupt]: flip frame byte
+     [header_len + len/2] *after* the checksum was computed — a
+     payload byte, or the footer's first byte for an empty payload —
+     the canonical corruption a reader must reject. *)
+  let payload, footer =
+    match faults with
+    | Some f when Nsutil.Faults.fires f "checkpoint.corrupt" <> None ->
+        if payload_len = 0 then (payload, flip_byte footer 0)
+        else (flip_byte payload (payload_len / 2), footer)
+    | _ -> (payload, footer)
+  in
+  let bytes = header_len + payload_len + footer_len in
   let tmp = path ^ ".tmp" in
   match
     let oc = open_out_bin tmp in
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_bytes oc bytes);
+      (fun () ->
+        output_string oc header;
+        output_string oc payload;
+        output_string oc footer;
+        (* [close_out], not the [finally]'s [close_out_noerr]: a
+           failing final flush must fail the write, not be renamed
+           into place. *)
+        close_out oc);
     Sys.rename tmp path
   with
   | () ->
       if Nsobs.Metrics.enabled () then begin
         Nsobs.Metrics.inc (Lazy.force m_writes);
-        Nsobs.Metrics.add (Lazy.force m_bytes_written) (Bytes.length bytes)
+        Nsobs.Metrics.add (Lazy.force m_bytes_written) bytes
       end;
       if Nsobs.Journal.enabled () then
         Nsobs.Journal.event "checkpoint_write"
           [
             ("kind", Nsobs.Journal.Str (kind_to_string kind));
             ("round", Nsobs.Journal.Int round);
-            ("bytes", Nsobs.Journal.Int (Bytes.length bytes));
+            ("bytes", Nsobs.Journal.Int bytes);
           ]
   | exception Sys_error m -> raise (Error (Io m))
 
@@ -210,10 +233,11 @@ let load_frame ~path ~digest =
                 if payload_len < 0 || len < total then err Truncated
                 else if len > total then err Corrupt
                 else begin
-                  let body = String.sub s 0 (header_len + payload_len) in
-                  let footer = String.sub s (header_len + payload_len) footer_len in
-                  if not (String.equal (Sha256.digest_string body) footer) then
-                    err Corrupt
+                  let body_len = header_len + payload_len in
+                  let ctx = Sha256.init () in
+                  Sha256.feed_sub ctx s ~off:0 ~len:body_len;
+                  let footer = String.sub s body_len footer_len in
+                  if not (String.equal (Sha256.finalize ctx) footer) then err Corrupt
                   else begin
                     let found = String.sub s digest_off digest_len in
                     if not (String.equal found digest) then

@@ -63,12 +63,17 @@ val write :
   unit
 (** [write ~path ~digest ~round payload] frames and atomically
     replaces [path]; [kind] defaults to {!Engine}. [digest] must be 32
-    raw bytes ({!Scrypto.Sha256} output). A fault plan firing at site
-    ["checkpoint.corrupt"] flips one payload byte after checksumming —
+    raw bytes ({!Scrypto.Sha256} output). The frame is streamed to
+    the [.tmp] file (header, payload, footer) with no frame-sized copy
+    of the payload. A fault plan firing at site ["checkpoint.corrupt"]
+    flips frame byte [header + len/2] after checksumming (a payload
+    byte, or the footer's first byte when the payload is empty) —
     deliberate corruption for the fault-injection harness — and one
     firing at ["checkpoint.io"] makes the write itself raise {!Error}
     [(Io _)] before touching the filesystem (the previous snapshot
-    survives). Raises {!Error} [(Io _)] on real I/O failure. *)
+    survives). Raises {!Error} [(Io _)] on real I/O failure, including
+    a failed final flush; the [.tmp] file is then not renamed into
+    place. *)
 
 val load : path:string -> digest:string -> (frame, error) result
 (** Validate [path] against [digest] and return the decoded frame.

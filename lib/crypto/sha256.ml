@@ -1,31 +1,22 @@
-(* SHA-256 per FIPS 180-4. 32-bit words are kept in native ints
-   masked to 32 bits (the host is 64-bit). *)
+(* SHA-256 per FIPS 180-4. The block compress is C (sha256_stubs.c);
+   this file owns the buffering, the padding and the digest encoding.
+   The eight 32-bit state words live in a native int array, which the
+   C side reads and updates in place. *)
 
 type digest = string
 
-let mask = 0xFFFFFFFF
-
-let k =
-  [|
-    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
-    0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
-    0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
-    0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
-    0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
-    0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
-    0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
-    0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
-    0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
-    0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
-    0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
-  |]
+(* [compress h s off n] runs the compress over the [n] whole 64-byte
+   blocks of [s] at [off]; the caller guarantees [off + 64 n <=
+   String.length s]. *)
+external compress : int array -> string -> int -> int -> unit
+  = "scrypto_sha256_compress"
+[@@noalloc]
 
 type ctx = {
   h : int array;  (* 8 words of running state *)
-  block : Bytes.t;  (* 64-byte block buffer *)
+  block : Bytes.t;  (* partial-block buffer, 64 bytes *)
   mutable fill : int;  (* bytes currently in [block] *)
   mutable total : int;  (* total message bytes fed so far *)
-  w : int array;  (* 64-word message schedule scratch *)
 }
 
 let init () =
@@ -38,97 +29,59 @@ let init () =
     block = Bytes.create 64;
     fill = 0;
     total = 0;
-    w = Array.make 64 0;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+let compress_block ctx = compress ctx.h (Bytes.unsafe_to_string ctx.block) 0 1
 
-let compress ctx =
-  let w = ctx.w in
-  let b = ctx.block in
-  for t = 0 to 15 do
-    w.(t) <-
-      (Char.code (Bytes.unsafe_get b (4 * t)) lsl 24)
-      lor (Char.code (Bytes.unsafe_get b ((4 * t) + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get b ((4 * t) + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get b ((4 * t) + 3))
-  done;
-  for t = 16 to 63 do
-    let s0 = rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3) in
-    let s1 = rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10) in
-    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask
-  done;
-  let a = ref ctx.h.(0)
-  and bb = ref ctx.h.(1)
-  and c = ref ctx.h.(2)
-  and d = ref ctx.h.(3)
-  and e = ref ctx.h.(4)
-  and f = ref ctx.h.(5)
-  and g = ref ctx.h.(6)
-  and hh = ref ctx.h.(7) in
-  for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !bb lxor (!a land !c) lxor (!bb land !c) in
-    let t2 = (s0 + maj) land mask in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask;
-    d := !c;
-    c := !bb;
-    bb := !a;
-    a := (t1 + t2) land mask
-  done;
-  ctx.h.(0) <- (ctx.h.(0) + !a) land mask;
-  ctx.h.(1) <- (ctx.h.(1) + !bb) land mask;
-  ctx.h.(2) <- (ctx.h.(2) + !c) land mask;
-  ctx.h.(3) <- (ctx.h.(3) + !d) land mask;
-  ctx.h.(4) <- (ctx.h.(4) + !e) land mask;
-  ctx.h.(5) <- (ctx.h.(5) + !f) land mask;
-  ctx.h.(6) <- (ctx.h.(6) + !g) land mask;
-  ctx.h.(7) <- (ctx.h.(7) + !hh) land mask
+(* Whole blocks per C call. The call cannot be interrupted, so this
+   bounds how long a domain runs without reaching a safepoint: 64 KiB,
+   about 0.1 ms at C speed. *)
+let slice_blocks = 1024
 
-let feed ctx s =
-  let len = String.length s in
+let feed_sub ctx s ~off ~len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Sha256.feed_sub";
   ctx.total <- ctx.total + len;
-  let pos = ref 0 in
-  while !pos < len do
-    let take = min (64 - ctx.fill) (len - !pos) in
-    Bytes.blit_string s !pos ctx.block ctx.fill take;
+  let stop = off + len in
+  let pos = ref off in
+  if ctx.fill > 0 then begin
+    let take = min (64 - ctx.fill) len in
+    Bytes.blit_string s off ctx.block ctx.fill take;
     ctx.fill <- ctx.fill + take;
-    pos := !pos + take;
+    pos := off + take;
     if ctx.fill = 64 then begin
-      compress ctx;
+      compress_block ctx;
       ctx.fill <- 0
     end
-  done
+  end;
+  (* Whole blocks straight from the caller's string; only a trailing
+     partial block is buffered (and only when [block] is empty). *)
+  while stop - !pos >= 64 do
+    let n = min slice_blocks ((stop - !pos) / 64) in
+    compress ctx.h s !pos n;
+    pos := !pos + (64 * n)
+  done;
+  if !pos < stop then begin
+    Bytes.blit_string s !pos ctx.block ctx.fill (stop - !pos);
+    ctx.fill <- ctx.fill + (stop - !pos)
+  end
+
+let feed ctx s = feed_sub ctx s ~off:0 ~len:(String.length s)
 
 let finalize ctx =
-  let bit_len = ctx.total * 8 in
-  (* Append 0x80, zero-pad to 56 mod 64, then the 64-bit length. *)
+  (* Append 0x80, zero-pad to 56 mod 64, then the 64-bit bit length. *)
   Bytes.set ctx.block ctx.fill '\x80';
   ctx.fill <- ctx.fill + 1;
   if ctx.fill > 56 then begin
     Bytes.fill ctx.block ctx.fill (64 - ctx.fill) '\000';
-    compress ctx;
+    compress_block ctx;
     ctx.fill <- 0
   end;
-  Bytes.fill ctx.block ctx.fill (64 - ctx.fill) '\000';
-  for i = 0 to 7 do
-    Bytes.set ctx.block (56 + i) (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xff))
-  done;
-  compress ctx;
+  Bytes.fill ctx.block ctx.fill (56 - ctx.fill) '\000';
+  Bytes.set_int64_be ctx.block 56 (Int64.of_int (ctx.total * 8));
+  compress_block ctx;
   let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xff))
-  done;
+  Array.iteri (fun i v -> Bytes.set_int32_be out (4 * i) (Int32.of_int v)) ctx.h;
   Bytes.to_string out
 
 let digest_string s =

@@ -43,7 +43,7 @@ let m_watchdog_cancels =
 let m_backoff_ms =
   lazy
     (Nsobs.Metrics.histogram ~help:"supervised retry backoff sleeps (ms)"
-       ~buckets:[| 1.; 5.; 10.; 25.; 50.; 100.; 250.; 500.; 1000. |]
+       ~buckets:Nsobs.Metrics.duration_ms_buckets
        "pool_backoff_delay_ms")
 
 let slice_span f = Nsobs.Trace.span ~cat:"pool" "pool.slice" f

@@ -235,6 +235,57 @@ let test_v1_frame_still_loads () =
         (function Checkpoint.Config_mismatch _ -> true | _ -> false)
         (Checkpoint.load ~path ~digest:digest_a))
 
+(* A version-3 frame built in one piece, the way [v1_frame] builds a
+   v1 frame: the streaming writer must put exactly these bytes on
+   disk. *)
+let v3_frame ~kind ~digest ~round payload =
+  let buf = Buffer.create 128 in
+  Buffer.add_string buf "SBGPCKP1";
+  Buffer.add_uint16_be buf 3;
+  Buffer.add_uint16_be buf kind;
+  Buffer.add_string buf digest;
+  Buffer.add_int32_be buf (Int32.of_int round);
+  Buffer.add_int64_be buf (Int64.of_int (String.length payload));
+  Buffer.add_string buf payload;
+  let body = Buffer.contents buf in
+  body ^ Scrypto.Sha256.digest_string body
+
+let test_streamed_frame_byte_identical () =
+  with_temp (fun path ->
+      List.iter
+        (fun len ->
+          let payload = String.init len (fun i -> Char.chr ((i * 31) land 0xff)) in
+          Checkpoint.write ~kind:Checkpoint.Churn ~path ~digest:digest_a ~round:len
+            payload;
+          check Alcotest.bool
+            (Printf.sprintf "%d-byte payload: file = hand-built v3 frame" len)
+            true
+            (String.equal (read_file path)
+               (v3_frame ~kind:1 ~digest:digest_a ~round:len payload)))
+        [ 0; 1; 63; 64; 65; 70_000 ])
+
+let test_injected_corruption_empty_payload () =
+  (* With no payload, frame byte [header_len + 0/2] is the footer's
+     first byte: that is the one the fault flips. *)
+  with_temp (fun path ->
+      let faults = Faults.create ~rate:1.0 ~budget:1 ~seed:3 () in
+      Checkpoint.write ~faults ~path ~digest:digest_a ~round:4 "";
+      check Alcotest.int "corruption fired" 1 (Faults.fired faults);
+      let clean = v3_frame ~kind:0 ~digest:digest_a ~round:4 "" in
+      let found = read_file path in
+      let header_len = String.length clean - 32 in
+      check Alcotest.int "frame length" (String.length clean) (String.length found);
+      check Alcotest.string "header untouched" (String.sub clean 0 header_len)
+        (String.sub found 0 header_len);
+      check Alcotest.int "footer byte 0 flipped" 0x5a
+        (Char.code clean.[header_len] lxor Char.code found.[header_len]);
+      check Alcotest.string "rest of the footer untouched"
+        (String.sub clean (header_len + 1) 31)
+        (String.sub found (header_len + 1) 31);
+      expect_error "corrupted empty frame"
+        (function Checkpoint.Corrupt -> true | _ -> false)
+        (Checkpoint.load ~path ~digest:digest_a))
+
 let test_unknown_kind_rejected () =
   with_temp (fun path ->
       Checkpoint.write ~path ~digest:digest_a ~round:1 "payload";
@@ -263,6 +314,24 @@ let test_injected_io_failure () =
       match Checkpoint.load_exn ~path ~digest:digest_a with
       | { Checkpoint.round = 1; payload = "survivor"; _ } -> ()
       | f -> Alcotest.failf "unexpected (%d, %S)" f.Checkpoint.round f.Checkpoint.payload)
+
+let test_full_disk_fails_typed () =
+  (* The [.tmp] file is a symlink to /dev/full: every byte lands in the
+     channel buffer, and only the final flush hits ENOSPC. That flush
+     must fail the write as [Io], and nothing may be renamed into
+     place. *)
+  if Sys.file_exists "/dev/full" then
+    with_temp (fun path ->
+        Sys.remove path;
+        Unix.symlink "/dev/full" (path ^ ".tmp");
+        Fun.protect
+          ~finally:(fun () ->
+            if Sys.file_exists (path ^ ".tmp") then Sys.remove (path ^ ".tmp"))
+          (fun () ->
+            (match Checkpoint.write ~path ~digest:digest_a ~round:1 "payload" with
+            | () -> Alcotest.fail "a write whose flush failed must raise"
+            | exception Checkpoint.Error (Checkpoint.Io _) -> ());
+            check Alcotest.bool "nothing renamed into place" false (Sys.file_exists path)))
 
 (* ------------------------------------------------------------------ *)
 (* Engine-level differentials. *)
@@ -409,7 +478,12 @@ let () =
           Alcotest.test_case "churn kind roundtrip" `Quick test_churn_kind_roundtrip;
           Alcotest.test_case "v1 frame still loads" `Quick test_v1_frame_still_loads;
           Alcotest.test_case "unknown kind rejected" `Quick test_unknown_kind_rejected;
+          Alcotest.test_case "streamed frame = hand-built v3 frame" `Quick
+            test_streamed_frame_byte_identical;
+          Alcotest.test_case "injected corruption, empty payload" `Quick
+            test_injected_corruption_empty_payload;
           Alcotest.test_case "injected io failure" `Quick test_injected_io_failure;
+          Alcotest.test_case "full disk fails typed" `Quick test_full_disk_fails_typed;
         ] );
       ( "engine",
         [

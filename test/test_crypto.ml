@@ -65,6 +65,76 @@ let test_sha_incremental_qcheck =
       Sha256.feed ctx (String.sub s split (String.length s - split));
       Sha256.finalize ctx = Sha256.digest_string s)
 
+(* The C compress against the pure-OCaml oracle (test/support):
+   every length up to 4096 one-shot, random chunkings through [feed]
+   and [feed_sub] at unaligned offsets, and inputs past the 64 KiB
+   slice the C call is bounded by. *)
+let oracle_hex s = Sha256.hex (Testkit.Refsha256.digest s)
+
+let random_string len seed =
+  let rng = Nsutil.Prng.create ~seed in
+  String.init len (fun _ -> Char.chr (Nsutil.Prng.int rng 256))
+
+let test_sha_oracle_lengths () =
+  let buf = random_string 4096 7 in
+  for len = 0 to 4096 do
+    let msg = String.sub buf 0 len in
+    if Sha256.digest_hex msg <> oracle_hex msg then
+      Alcotest.failf "length %d differs from the oracle" len
+  done
+
+(* Feed [msg], embedded at [pad] in a larger string, in the pieces
+   [cuts] marks; each piece goes through [feed_sub] in place, or
+   through [feed] on a copy when [via_sub] says so. *)
+let chunked_digest ~pad ~cuts ~via_sub msg =
+  let len = String.length msg in
+  let host = String.make pad '#' ^ msg ^ String.make 13 '#' in
+  let cuts = List.sort_uniq compare (List.map (fun c -> c mod (len + 1)) cuts) in
+  let ctx = Sha256.init () in
+  let pos =
+    List.fold_left
+      (fun pos cut ->
+        let piece = cut - pos in
+        if via_sub then Sha256.feed_sub ctx host ~off:(pad + pos) ~len:piece
+        else Sha256.feed ctx (String.sub msg pos piece);
+        cut)
+      0 cuts
+  in
+  Sha256.feed_sub ctx host ~off:(pad + pos) ~len:(len - pos);
+  Sha256.hex (Sha256.finalize ctx)
+
+let test_sha_oracle_qcheck =
+  qtest ~count:300 "chunked feed/feed_sub at unaligned offsets = oracle"
+    QCheck2.Gen.(
+      pair
+        (pair (string_size (int_range 0 4096)) (int_bound 63))
+        (pair (list_size (int_range 0 8) (int_bound 4096)) bool))
+    (fun ((msg, pad), (cuts, via_sub)) ->
+      chunked_digest ~pad ~cuts ~via_sub msg = oracle_hex msg)
+
+let test_sha_oracle_large () =
+  let msg = random_string ((2 * 65536) + 100) 11 in
+  let expected = oracle_hex msg in
+  check Alcotest.string "one-shot past the slice bound" expected (Sha256.digest_hex msg);
+  List.iter
+    (fun (pad, cuts) ->
+      check Alcotest.string
+        (Printf.sprintf "feed_sub at offset %d" pad)
+        expected
+        (chunked_digest ~pad ~cuts ~via_sub:true msg))
+    [ (0, []); (3, [ 1 ]); (61, [ 65537; 70_001 ]); (5, [ 63; 131_072 ]) ]
+
+let test_sha_feed_sub_bounds () =
+  let ctx = Sha256.init () in
+  List.iter
+    (fun (off, len) ->
+      match Sha256.feed_sub ctx "abcdef" ~off ~len with
+      | () -> Alcotest.failf "feed_sub ~off:%d ~len:%d accepted" off len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 2); (0, -1); (0, 7); (4, 3); (7, 0); (max_int, 2) ];
+  check Alcotest.string "rejected calls fed nothing" (Sha256.digest_hex "")
+    (Sha256.hex (Sha256.finalize ctx))
+
 let test_sha_distinct_qcheck =
   qtest "distinct inputs give distinct digests"
     QCheck2.Gen.(pair (string_size (int_range 0 64)) (string_size (int_range 0 64)))
@@ -171,6 +241,11 @@ let () =
           Alcotest.test_case "padding boundaries" `Quick test_sha_block_boundaries;
           Alcotest.test_case "digest lengths" `Quick test_sha_digest_length;
           test_sha_incremental_qcheck;
+          Alcotest.test_case "oracle: lengths 0-4096" `Quick test_sha_oracle_lengths;
+          test_sha_oracle_qcheck;
+          Alcotest.test_case "oracle: past the 64 KiB slice" `Quick
+            test_sha_oracle_large;
+          Alcotest.test_case "feed_sub bounds" `Quick test_sha_feed_sub_bounds;
           test_sha_distinct_qcheck;
         ] );
       ( "hmac",

@@ -224,6 +224,11 @@ let test_dune_deps_tracked () =
           Alcotest.(check (list string)) "dune deps not tracked by git" [] untracked
       | _ -> ())
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
+  at 0
+
 (* One scheduling primitive: the pool is the only place in [lib/] that
    spawns domains, and its interface declares a single fan-out. *)
 let test_one_scheduling_primitive () =
@@ -234,11 +239,6 @@ let test_one_scheduling_primitive () =
       | None -> ()
       | Some files ->
           let read f = In_channel.with_open_text (Filename.concat root f) In_channel.input_all in
-          let contains hay needle =
-            let nh = String.length hay and nn = String.length needle in
-            let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-            at 0
-          in
           Alcotest.(check (list string)) "Domain.spawn outside lib/parallel/pool.ml" []
             (List.filter
                (fun f -> f <> "lib/parallel/pool.ml" && contains (read f) "Domain.spawn")
@@ -249,6 +249,72 @@ let test_one_scheduling_primitive () =
                    String.starts_with ~prefix:"val map_reduce" (String.trim l))
           in
           Alcotest.(check int) "val map_reduce* in pool.mli" 1 (List.length fanouts))
+
+(* One ladder for every wall-time histogram: each
+   [Nsobs.Metrics.histogram] call in [lib/] whose metric name ends in
+   "_ms" passes [~buckets:Nsobs.Metrics.duration_ms_buckets], so no
+   duration clamps at a private top bucket. A call's text runs from
+   the function name to the first ')' outside a string literal; its
+   last string literal is the metric name. *)
+let ms_histogram_calls text =
+  let marker = "Nsobs.Metrics.histogram" and len = String.length text in
+  let ml = String.length marker in
+  let rec past_string i =
+    if i >= len then len
+    else
+      match text.[i] with
+      | '\\' -> past_string (i + 2)
+      | '"' -> i + 1
+      | _ -> past_string (i + 1)
+  in
+  let rec call i last =
+    if i >= len || text.[i] = ')' then (i, last)
+    else if text.[i] = '"' then
+      let j = past_string (i + 1) in
+      call j (Some (String.sub text (i + 1) (max 0 (j - i - 2))))
+    else call (i + 1) last
+  in
+  let ident c =
+    match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true | _ -> false
+  in
+  let rec from i acc =
+    if i + ml > len then List.rev acc
+    else if String.sub text i ml = marker && not (i + ml < len && ident text.[i + ml])
+    then
+      let stop, name = call (i + ml) None in
+      match name with
+      | Some name when String.ends_with ~suffix:"_ms" name ->
+          from stop ((name, String.sub text i (stop - i)) :: acc)
+      | _ -> from stop acc
+    else from (i + 1) acc
+  in
+  from 0 []
+
+let test_ms_histograms_share_ladder () =
+  match find_root (Sys.getcwd ()) with
+  | None -> ()
+  | Some root -> (
+      match git_lines root "ls-files -- 'lib/*.ml'" with
+      | None -> ()
+      | Some files ->
+          let calls =
+            List.concat_map
+              (fun f ->
+                In_channel.with_open_text (Filename.concat root f) In_channel.input_all
+                |> ms_histogram_calls
+                |> List.map (fun (name, call) -> (f ^ ": " ^ name, call)))
+              files
+          in
+          Alcotest.(check bool) "found the *_ms histograms" true
+            (List.exists
+               (fun (n, _) -> String.ends_with ~suffix:": checkpoint_write_ms" n)
+               calls);
+          Alcotest.(check (list string)) "*_ms histograms off the shared ladder" []
+            (List.filter_map
+               (fun (n, call) ->
+                 if contains call "~buckets:Nsobs.Metrics.duration_ms_buckets" then None
+                 else Some n)
+               calls))
 
 let () =
   Alcotest.run "repo_hygiene"
@@ -266,5 +332,7 @@ let () =
           Alcotest.test_case "dune deps are tracked" `Quick test_dune_deps_tracked;
           Alcotest.test_case "one scheduling primitive" `Quick
             test_one_scheduling_primitive;
+          Alcotest.test_case "one ladder for *_ms histograms" `Quick
+            test_ms_histograms_share_ladder;
         ] );
     ]
