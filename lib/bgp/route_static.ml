@@ -20,8 +20,8 @@ let max_path_len = 254
 
 (* Direct element primitives over [I32] Bigarrays, used by every hot
    loop in this file. The classic (non-flambda) compiler does not
-   inline the [I32] accessors across modules, and the three-stage
-   compute and the repair kernels touch enough int32 elements that
+   inline the [I32] accessors across modules, and the statics
+   builder and the repair kernels touch enough int32 elements that
    out-of-line calls triple their cost; same-unit helpers specialize
    down to single loads and stores. *)
 let ba_get (a : I32.t) i = Int32.to_int (Bigarray.Array1.unsafe_get a i)
@@ -54,30 +54,23 @@ let sort_row tb i members keys len =
     keys.(!b) <- k
   done
 
-(* All scratch the three-stage computation touches, hoisted into a
-   reusable builder: a streaming store computes tens of thousands of
-   records per engine round at 36K+ nodes, and per-call allocation of
-   the O(n) temporaries would make the sweep GC-bound. A builder is
-   single-domain state — the engine keeps one per worker. In transient
-   mode the *output* record also lives in builder-owned buffers (valid
-   only until the builder's next transient compute, and must never be
-   inserted into a store); persistent mode allocates the record fresh
-   and reuses only the scratch. *)
+(* All scratch one statics build touches, hoisted into a reusable
+   builder: a streaming store builds tens of thousands of records per
+   engine round at 36K+ nodes, and per-call allocation of the O(n)
+   temporaries would make the sweep GC-bound. Every build assembles
+   its record in the builder's own buffers; a transient record is those
+   buffers (valid only until the builder's next build, and never to be
+   inserted into a store), a persistent one an exact-size copy. A
+   builder is single-domain state — the engine keeps one per worker. *)
 type builder = {
   bd_n : int;
-  bd_l1 : int array;
-  bd_bl : int array;
-  bd_queue : int array;  (* stage-1 BFS ring; each node enqueues once *)
-  bd_bq : Nsutil.Bucketq.t;
-  bd_done : Bytes.t;
-  bd_tie_count : int array;
-  bd_rev_count : int array;
-  bd_counts : int array;  (* counting-sort buckets over path lengths *)
-  bd_starts : int array;
-  bd_order_full : int array;
+  bd_queue : int array;
+      (* every reachable node once: stage 1's customer-route list, then
+         stage 2's peer-route list, then stage 3's provider FIFO *)
+  bd_rev : int array;  (* reverse-row counts, then fill cursors *)
+  bd_starts : int array;  (* counting-sort buckets over path lengths *)
   mutable bd_members : int array;  (* tie-row sort buffers, grown on demand *)
   mutable bd_keys : int array;
-  (* Transient-record output buffers. *)
   bd_cls : Bytes.t;
   bd_len : Bytes.t;
   bd_tie_off : I32.t;  (* n + 1 *)
@@ -87,21 +80,12 @@ type builder = {
   bd_order : I32.t;  (* n *)
 }
 
-let order_buckets = max_path_len + 2
-
 let make_builder n =
   {
     bd_n = n;
-    bd_l1 = Array.make n inf;
-    bd_bl = Array.make n inf;
-    bd_queue = Array.make (max 1 n) 0;
-    bd_bq = Nsutil.Bucketq.create ~max_key:(max_path_len + 1);
-    bd_done = Bytes.make n '\000';
-    bd_tie_count = Array.make n 0;
-    bd_rev_count = Array.make n 0;
-    bd_counts = Array.make order_buckets 0;
-    bd_starts = Array.make order_buckets 0;
-    bd_order_full = Array.make n 0;
+    bd_queue = Array.make n 0;
+    bd_rev = Array.make n 0;
+    bd_starts = Array.make (max_path_len + 1) 0;
     bd_members = [||];
     bd_keys = [||];
     bd_cls = Bytes.make n c_unreach;
@@ -113,289 +97,14 @@ let make_builder n =
     bd_order = I32.create n;
   }
 
-(* Three-stage Gao-Rexford route computation (Appendix A / [15]):
-   customer routes climb provider links from d; peer routes add one
-   peering hop onto a customer route; provider routes descend customer
-   links from any already-routed node, in ascending length order. The
-   adjacency CSR arrays are walked by direct offset-range loops — no
-   per-node closures on this path. *)
-let compute_with ?(tiebreak = Policy.Lowest_id) ?(transient = false) bd g d =
-  let n = Graph.n g in
-  if bd.bd_n <> n then
-    invalid_arg
-      (Printf.sprintf "Route_static.compute_with: builder for %d nodes, graph has %d"
-         bd.bd_n n);
-  let cust_off = g.Graph.customers.Csr.offsets and cust_dat = g.Graph.customers.Csr.data in
-  let prov_off = g.Graph.providers.Csr.offsets and prov_dat = g.Graph.providers.Csr.data in
-  let peer_off = g.Graph.peers.Csr.offsets and peer_dat = g.Graph.peers.Csr.data in
-  let l1 = bd.bd_l1 in
-  let bl = bd.bd_bl in
-  Array.fill l1 0 n inf;
-  Array.fill bl 0 n inf;
-  let cls =
-    if transient then begin
-      Bytes.fill bd.bd_cls 0 n c_unreach;
-      bd.bd_cls
-    end
-    else Bytes.make n c_unreach
-  in
-  (* Stage 1: customer-route lengths. *)
-  l1.(d) <- 0;
-  let queue = bd.bd_queue in
-  queue.(0) <- d;
-  let q_head = ref 0 and q_tail = ref 1 in
-  while !q_head < !q_tail do
-    let x = queue.(!q_head) in
-    incr q_head;
-    for k = ba_get prov_off x to ba_get prov_off (x + 1) - 1 do
-      let p = ba_get prov_dat k in
-      if l1.(p) = inf then begin
-        l1.(p) <- l1.(x) + 1;
-        queue.(!q_tail) <- p;
-        incr q_tail
-      end
-    done
-  done;
-  Bytes.set cls d c_self;
-  bl.(d) <- 0;
-  for i = 0 to n - 1 do
-    if i <> d && l1.(i) < inf then begin
-      bl.(i) <- l1.(i);
-      Bytes.set cls i c_cust
-    end
-  done;
-  (* Stage 2: peer routes for nodes without a customer route. *)
-  for i = 0 to n - 1 do
-    if bl.(i) = inf then begin
-      let best = ref inf in
-      for k = ba_get peer_off i to ba_get peer_off (i + 1) - 1 do
-        let p = ba_get peer_dat k in
-        if l1.(p) < !best then best := l1.(p)
-      done;
-      if !best < inf then begin
-        bl.(i) <- !best + 1;
-        Bytes.set cls i c_peer
-      end
-    end
-  done;
-  (* Stage 3: provider routes, in ascending final length. *)
-  let bq = bd.bd_bq in
-  Nsutil.Bucketq.reset bq;
-  let done_ = bd.bd_done in
-  Bytes.fill done_ 0 n '\000';
-  for i = 0 to n - 1 do
-    if bl.(i) < inf then Nsutil.Bucketq.push bq ~key:bl.(i) i
-  done;
-  let rec drain () =
-    match Nsutil.Bucketq.pop bq with
-    | None -> ()
-    | Some (key, x) ->
-        if Bytes.get done_ x = '\000' then begin
-          Bytes.set done_ x '\001';
-          if bl.(x) = inf then begin
-            bl.(x) <- key;
-            Bytes.set cls x c_prov
-          end;
-          let next_key = key + 1 in
-          if next_key <= max_path_len then
-            for k = ba_get cust_off x to ba_get cust_off (x + 1) - 1 do
-              let c = ba_get cust_dat k in
-              if Bytes.get done_ c = '\000' && bl.(c) = inf then
-                Nsutil.Bucketq.push bq ~key:next_key c
-            done
-        end;
-        drain ()
-  in
-  drain ();
-  (* Tiebreak sets, two-pass counting layout: count members per node,
-     prefix-sum into offsets, then fill — no cons-list churn. *)
-  let exports_customer_route j =
-    let c = Bytes.unsafe_get cls j in
-    c = c_self || c = c_cust
-  in
-  let tie_count = bd.bd_tie_count in
-  Array.fill tie_count 0 n 0;
-  let count_tie i =
-    let want = bl.(i) - 1 in
-    let cl = Bytes.unsafe_get cls i in
-    let acc = ref 0 in
-    if cl = c_cust then
-      for k = ba_get cust_off i to ba_get cust_off (i + 1) - 1 do
-        let c = ba_get cust_dat k in
-        if bl.(c) = want && exports_customer_route c then incr acc
-      done
-    else if cl = c_peer then
-      for k = ba_get peer_off i to ba_get peer_off (i + 1) - 1 do
-        let p = ba_get peer_dat k in
-        if bl.(p) = want && exports_customer_route p then incr acc
-      done
-    else
-      for k = ba_get prov_off i to ba_get prov_off (i + 1) - 1 do
-        if bl.(ba_get prov_dat k) = want then incr acc
-      done;
-    !acc
-  in
-  for i = 0 to n - 1 do
-    if i <> d && bl.(i) < inf then tie_count.(i) <- count_tie i
-  done;
-  let tie_off = if transient then bd.bd_tie_off else I32.create (n + 1) in
-  let total = ref 0 in
-  for i = 0 to n - 1 do
-    I32.unsafe_set tie_off i !total;
-    total := !total + tie_count.(i)
-  done;
-  I32.unsafe_set tie_off n !total;
-  let tie =
-    if transient then begin
-      if I32.length bd.bd_tie < !total then
-        bd.bd_tie <- I32.create (max !total (2 * I32.length bd.bd_tie));
-      Bigarray.Array1.sub bd.bd_tie 0 !total
-    end
-    else I32.create !total
-  in
-  let fill_tie i =
-    let want = bl.(i) - 1 in
-    let cl = Bytes.unsafe_get cls i in
-    let w = ref (I32.unsafe_get tie_off i) in
-    let put v =
-      I32.unsafe_set tie !w v;
-      incr w
-    in
-    if cl = c_cust then
-      for k = ba_get cust_off i to ba_get cust_off (i + 1) - 1 do
-        let c = ba_get cust_dat k in
-        if bl.(c) = want && exports_customer_route c then put c
-      done
-    else if cl = c_peer then
-      for k = ba_get peer_off i to ba_get peer_off (i + 1) - 1 do
-        let p = ba_get peer_dat k in
-        if bl.(p) = want && exports_customer_route p then put p
-      done
-    else
-      for k = ba_get prov_off i to ba_get prov_off (i + 1) - 1 do
-        let p = ba_get prov_dat k in
-        if bl.(p) = want then put p
-      done
-  in
-  for i = 0 to n - 1 do
-    if tie_count.(i) > 0 then fill_tie i
-  done;
-  (* Pre-sort each row by static tiebreak key (stable), so the forest
-     kernel's Pass 1 takes the first eligible member instead of
-     running a key-compare chain per member. *)
-  let max_row = Array.fold_left max 0 tie_count in
-  if max_row > 1 then begin
-    if Array.length bd.bd_members < max_row then begin
-      bd.bd_members <- Array.make (max max_row (2 * Array.length bd.bd_members)) 0;
-      bd.bd_keys <- Array.make (Array.length bd.bd_members) 0
-    end;
-    let members = bd.bd_members in
-    let keys = bd.bd_keys in
-    for i = 0 to n - 1 do
-      let row = tie_count.(i) in
-      if row > 1 then begin
-        let off = I32.unsafe_get tie_off i in
-        for k = 0 to row - 1 do
-          members.(k) <- I32.unsafe_get tie (off + k)
-        done;
-        sort_row tiebreak i members keys row;
-        for k = 0 to row - 1 do
-          I32.unsafe_set tie (off + k) members.(k)
-        done
-      end
-    done
-  end;
-  (* Stable counting sort by length ({!Nsutil.Order.by_small_key}
-     inlined over the builder's bucket scratch): reachable nodes in
-     ascending (length, id), unreachable ones in the overflow bucket
-     at the end. *)
-  let order_full = bd.bd_order_full in
-  let counts = bd.bd_counts and starts = bd.bd_starts in
-  let bucket i =
-    let v = bl.(i) in
-    if v >= 0 && v <= max_path_len then v else order_buckets - 1
-  in
-  Array.fill counts 0 order_buckets 0;
-  for i = 0 to n - 1 do
-    counts.(bucket i) <- counts.(bucket i) + 1
-  done;
-  starts.(0) <- 0;
-  for b = 1 to order_buckets - 1 do
-    starts.(b) <- starts.(b - 1) + counts.(b - 1)
-  done;
-  for i = 0 to n - 1 do
-    let b = bucket i in
-    order_full.(starts.(b)) <- i;
-    starts.(b) <- starts.(b) + 1
-  done;
-  (* Trim unreachable nodes (sorted last) off the order. *)
-  let reachable_count =
-    Array.fold_left (fun acc v -> if v < inf then acc + 1 else acc) 0 bl
-  in
-  let order =
-    if transient then Bigarray.Array1.sub bd.bd_order 0 reachable_count
-    else I32.create reachable_count
-  in
-  for k = 0 to reachable_count - 1 do
-    I32.unsafe_set order k order_full.(k)
-  done;
-  (* Reverse tiebreak adjacency: row [j] lists every node whose tie
-     set contains [j], ordered by DESCENDING position in [order] — the
-     exact order Pass 2 of the forest kernel folds child subtrees into
-     parents, so an incremental repair that re-sums one parent's
-     subtree walks the same addends in the same order (bit-identical
-     floats). *)
-  let rev_count = bd.bd_rev_count in
-  Array.fill rev_count 0 n 0;
-  for k = 0 to !total - 1 do
-    let j = I32.unsafe_get tie k in
-    rev_count.(j) <- rev_count.(j) + 1
-  done;
-  let tie_rev_off = if transient then bd.bd_tie_rev_off else I32.create (n + 1) in
-  let rt = ref 0 in
-  for i = 0 to n - 1 do
-    I32.unsafe_set tie_rev_off i !rt;
-    rt := !rt + rev_count.(i)
-  done;
-  I32.unsafe_set tie_rev_off n !rt;
-  let tie_rev =
-    if transient then begin
-      (* [!rt = !total]: the reverse CSR is a permutation of the tie
-         CSR's members. *)
-      if I32.length bd.bd_tie_rev < !rt then
-        bd.bd_tie_rev <- I32.create (max !rt (2 * I32.length bd.bd_tie_rev));
-      Bigarray.Array1.sub bd.bd_tie_rev 0 !rt
-    end
-    else I32.create !rt
-  in
-  let cursor = rev_count in
-  for i = 0 to n - 1 do
-    cursor.(i) <- I32.unsafe_get tie_rev_off i
-  done;
-  for k = reachable_count - 1 downto 1 do
-    let i = order_full.(k) in
-    for p = I32.unsafe_get tie_off i to I32.unsafe_get tie_off (i + 1) - 1 do
-      let j = I32.unsafe_get tie p in
-      I32.unsafe_set tie_rev cursor.(j) i;
-      cursor.(j) <- cursor.(j) + 1
-    done
-  done;
-  let max_len = Array.fold_left (fun acc v -> if v < inf then max acc v else acc) 0 bl in
-  let len =
-    if transient then begin
-      Bytes.fill bd.bd_len 0 n '\000';
-      bd.bd_len
-    end
-    else Bytes.make n '\000'
-  in
-  for i = 0 to n - 1 do
-    if bl.(i) < inf then Bytes.set len i (Char.chr bl.(i))
-  done;
-  { dest = d; cls; len; tie_off; tie; tie_rev_off; tie_rev; order; tb = tiebreak; max_len }
+(* Room for [need] tie members, keeping the first [used]. *)
+let grow_tie bd ~used need =
+  let a = I32.create (max need (2 * I32.length bd.bd_tie)) in
+  I32.blit ~src:bd.bd_tie ~src_pos:0 ~dst:a ~dst_pos:0 ~len:used;
+  bd.bd_tie <- a
 
-let compute ?tiebreak g d = compute_with ?tiebreak (make_builder (Graph.n g)) g d
-
-(* Deep copy, for promoting a transient record into a store slot. *)
+(* Deep copy: a persistent record, or a transient one promoted into a
+   store slot. *)
 let info_copy info =
   let i32_copy (a : I32.t) =
     let c = I32.create (I32.length a) in
@@ -412,6 +121,240 @@ let info_copy info =
     tie_rev = i32_copy info.tie_rev;
     order = i32_copy info.order;
   }
+
+let blen b i = Char.code (Bytes.unsafe_get b i)
+
+(* Length of the head of the queue slice [lo, hi), [max_int] if empty. *)
+let head_len len queue lo hi = if lo < hi then blen len queue.(lo) else max_int
+
+(* Gao-Rexford static routes (Appendix A / [15]) in one fused pass over
+   the builder's scratch. Customer routes climb provider links from d;
+   peer routes add one peering hop onto a customer route; provider
+   routes descend customer links from any already-routed node. A
+   node's length is final when it is first reached, because each stage
+   visits its sources in ascending length. The record's own [len] and
+   [cls] bytes serve as the working lengths and the visited mark. Every
+   stage stops at [max_path_len]: longer routes are unreachable. The
+   adjacency CSR arrays are walked by direct offset-range loops — no
+   per-node closures on this path. *)
+let compute_with ?(tiebreak = Policy.Lowest_id) ?(transient = false) bd g d =
+  let n = Graph.n g in
+  if bd.bd_n <> n then
+    invalid_arg
+      (Printf.sprintf "Route_static.compute_with: builder for %d nodes, graph has %d"
+         bd.bd_n n);
+  if d < 0 || d >= n then
+    invalid_arg (Printf.sprintf "Route_static.compute_with: destination %d out of range" d);
+  let cust_off = g.Graph.customers.Csr.offsets and cust_dat = g.Graph.customers.Csr.data in
+  let prov_off = g.Graph.providers.Csr.offsets and prov_dat = g.Graph.providers.Csr.data in
+  let peer_off = g.Graph.peers.Csr.offsets and peer_dat = g.Graph.peers.Csr.data in
+  let cls = bd.bd_cls and len = bd.bd_len and queue = bd.bd_queue in
+  Bytes.fill cls 0 n c_unreach;
+  Bytes.fill len 0 n '\000';
+  (* Stage 1: customer routes, BFS up provider links. The queue ends up
+     holding the customer-route list (d first) in ascending length. *)
+  Bytes.unsafe_set cls d c_self;
+  queue.(0) <- d;
+  let tail = ref 1 in
+  let head = ref 0 in
+  while !head < !tail do
+    let x = queue.(!head) in
+    incr head;
+    let lx = blen len x in
+    if lx < max_path_len then
+      for k = ba_get prov_off x to ba_get prov_off (x + 1) - 1 do
+        let p = ba_get prov_dat k in
+        if Bytes.unsafe_get cls p = c_unreach then begin
+          Bytes.unsafe_set cls p c_cust;
+          Bytes.unsafe_set len p (Char.unsafe_chr (lx + 1));
+          queue.(!tail) <- p;
+          incr tail
+        end
+      done
+  done;
+  let cust_end = !tail in
+  (* Stage 2: peer routes. Walking the peers of each customer-route
+     node in ascending length, a node's first touch is its shortest
+     peer route. Walking [x]'s peer row to reach [i] relies on [x]
+     being in [i]'s row too: {!Graph.build} — the only constructor,
+     behind every loader and [apply_delta] — stores each peer edge in
+     both rows. *)
+  for k = 0 to cust_end - 1 do
+    let x = queue.(k) in
+    let lx = blen len x in
+    if lx < max_path_len then
+      for e = ba_get peer_off x to ba_get peer_off (x + 1) - 1 do
+        let i = ba_get peer_dat e in
+        if Bytes.unsafe_get cls i = c_unreach then begin
+          Bytes.unsafe_set cls i c_peer;
+          Bytes.unsafe_set len i (Char.unsafe_chr (lx + 1));
+          queue.(!tail) <- i;
+          incr tail
+        end
+      done
+  done;
+  let peer_end = !tail in
+  (* Stage 3: provider routes. Merge the two ascending lists with the
+     FIFO of provider-route nodes, which is ascending too (each push is
+     one longer than the node being expanded), so nodes expand in
+     ascending length and a node's first push carries its final
+     length. Every reachable node expands exactly once, which is where
+     the length buckets of [order] are counted. *)
+  let starts = bd.bd_starts in
+  Array.fill starts 0 (max_path_len + 1) 0;
+  let a = ref 0 and b = ref cust_end and q = ref peer_end in
+  while !a < cust_end || !b < peer_end || !q < !tail do
+    let la = head_len len queue !a cust_end
+    and lb = head_len len queue !b peer_end
+    and lq = head_len len queue !q !tail in
+    let x =
+      if la <= lb && la <= lq then begin
+        incr a;
+        queue.(!a - 1)
+      end
+      else if lb <= lq then begin
+        incr b;
+        queue.(!b - 1)
+      end
+      else begin
+        incr q;
+        queue.(!q - 1)
+      end
+    in
+    let lx = blen len x in
+    starts.(lx) <- starts.(lx) + 1;
+    if lx < max_path_len then
+      for e = ba_get cust_off x to ba_get cust_off (x + 1) - 1 do
+        let c = ba_get cust_dat e in
+        if Bytes.unsafe_get cls c = c_unreach then begin
+          Bytes.unsafe_set cls c c_prov;
+          Bytes.unsafe_set len c (Char.unsafe_chr (lx + 1));
+          queue.(!tail) <- c;
+          incr tail
+        end
+      done
+  done;
+  let reach = !tail in
+  let acc = ref 0 in
+  for l = 0 to max_path_len do
+    let c = starts.(l) in
+    starts.(l) <- !acc;
+    acc := !acc + c
+  done;
+  (* Tie rows and [order] in one pass over the nodes. Each row is
+     appended in adjacency order, sorted by static tiebreak key
+     ([sort_row], stable), and each member is counted into its reverse
+     row. Visiting nodes in id order makes the counting sort
+     place the reachable nodes in ascending (length, id). A row is a
+     subset of one adjacency row, so reserving that row's degree up
+     front keeps the appends unchecked. *)
+  let tie_off = bd.bd_tie_off and rev = bd.bd_rev and order = bd.bd_order in
+  Array.fill rev 0 n 0;
+  let w = ref 0 in
+  for i = 0 to n - 1 do
+    ba_set tie_off i !w;
+    let c = Bytes.unsafe_get cls i in
+    if c <> c_unreach then begin
+      let l = blen len i in
+      ba_set order starts.(l) i;
+      starts.(l) <- starts.(l) + 1;
+      if i <> d then begin
+        let want = l - 1 in
+        let lo = !w in
+        let off = if c = c_cust then cust_off else if c = c_peer then peer_off else prov_off in
+        let dat = if c = c_cust then cust_dat else if c = c_peer then peer_dat else prov_dat in
+        let klo = ba_get off i and khi = ba_get off (i + 1) in
+        if lo + khi - klo > Bigarray.Array1.dim bd.bd_tie then
+          grow_tie bd ~used:lo (lo + khi - klo);
+        let tie = bd.bd_tie in
+        if c = c_prov then
+          for e = klo to khi - 1 do
+            let j = ba_get dat e in
+            if blen len j = want && Bytes.unsafe_get cls j <> c_unreach then begin
+              ba_set tie !w j;
+              rev.(j) <- rev.(j) + 1;
+              incr w
+            end
+          done
+        else
+          (* Customer and peer routes only extend a neighbor's customer
+             route (or d itself). *)
+          for e = klo to khi - 1 do
+            let j = ba_get dat e in
+            if blen len j = want then begin
+              let cj = Bytes.unsafe_get cls j in
+              if cj = c_cust || cj = c_self then begin
+                ba_set tie !w j;
+                rev.(j) <- rev.(j) + 1;
+                incr w
+              end
+            end
+          done;
+        let row = !w - lo in
+        if row > 1 then begin
+          if Array.length bd.bd_members < row then begin
+            bd.bd_members <- Array.make (max row (2 * Array.length bd.bd_members)) 0;
+            bd.bd_keys <- Array.make (Array.length bd.bd_members) 0
+          end;
+          let members = bd.bd_members in
+          for e = 0 to row - 1 do
+            members.(e) <- ba_get tie (lo + e)
+          done;
+          sort_row tiebreak i members bd.bd_keys row;
+          for e = 0 to row - 1 do
+            ba_set tie (lo + e) members.(e)
+          done
+        end
+      end
+    end
+  done;
+  let total = !w in
+  ba_set tie_off n total;
+  let tie = bd.bd_tie in
+  (* Reverse tiebreak adjacency: row [j] lists every node whose tie
+     set contains [j], ordered by DESCENDING position in [order] — the
+     exact order Pass 2 of the forest kernel folds child subtrees into
+     parents, so an incremental repair that re-sums one parent's
+     subtree walks the same addends in the same order (bit-identical
+     floats). The reverse CSR is a permutation of the tie CSR's
+     members, so it holds [total] entries too. *)
+  let tie_rev_off = bd.bd_tie_rev_off in
+  let acc = ref 0 in
+  for j = 0 to n - 1 do
+    ba_set tie_rev_off j !acc;
+    let c = rev.(j) in
+    rev.(j) <- !acc;
+    acc := !acc + c
+  done;
+  ba_set tie_rev_off n total;
+  if I32.length bd.bd_tie_rev < total then
+    bd.bd_tie_rev <- I32.create (max total (2 * I32.length bd.bd_tie_rev));
+  let tie_rev = bd.bd_tie_rev in
+  for k = reach - 1 downto 1 do
+    let i = ba_get order k in
+    for e = ba_get tie_off i to ba_get tie_off (i + 1) - 1 do
+      let j = ba_get tie e in
+      ba_set tie_rev rev.(j) i;
+      rev.(j) <- rev.(j) + 1
+    done
+  done;
+  let info =
+    {
+      dest = d;
+      cls;
+      len;
+      tie_off;
+      tie = Bigarray.Array1.sub tie 0 total;
+      tie_rev_off;
+      tie_rev = Bigarray.Array1.sub tie_rev 0 total;
+      order = Bigarray.Array1.sub order 0 reach;
+      tb = tiebreak;
+      max_len = blen len (ba_get order (reach - 1));
+    }
+  in
+  if transient then info else info_copy info
+
+let compute ?tiebreak g d = compute_with ?tiebreak (make_builder (Graph.n g)) g d
 
 let class_of info i = Policy.class_of_char (Bytes.get info.cls i)
 
@@ -485,7 +428,7 @@ let info_equal a b =
 (* Incremental repair under topology churn (DESIGN.md section 10).
 
    [repair_surgical] patches one destination's statics across a
-   {!Graph.delta} without rerunning the three-stage computation,
+   {!Graph.delta} without rerunning the statics builder,
    whenever the delta provably cannot alter any existing node's class,
    length or tie row for this destination. Two facts carry the proof:
 
@@ -493,8 +436,8 @@ let info_equal a b =
      existing providers) has no customers and no peers, so it exports
      no customer route and is nobody's provider or peer: stage 1's
      provider-link BFS and stage 2's peer scans never read it, and in
-     stage 3 it is a leaf of the bucket queue — its own best length is
-     [min provider length + 1] and it pushes nothing. Every existing
+     stage 3 it is a leaf of the provider FIFO — its own best length
+     is [min provider length + 1] and it pushes nothing. Every existing
      byte of the statics is untouched; the stub only appends CSR rows
      and splices into the order and the reverse-tiebreak layout.
 
@@ -706,8 +649,8 @@ let repair_with_ctx rx info =
     let pbase = ba_get prov_off base_n in
     let pdat = rx.rx_pdat in
     (* One pass over the appended stubs fuses three jobs: each stub's
-       class/length (min reachable provider + 1 — exactly the key at
-       which stage 3's bucket queue would first pop it), the new
+       class/length (min reachable provider + 1 — exactly the length
+       stage 3 first pushes it at), the new
        cls/len bytes, and the stub's tiebreak row (the providers that
        achieve the minimum, in provider-CSR order, tiebreak-sorted
        like every other row). Every provider of an appended stub is an
@@ -766,8 +709,8 @@ let repair_with_ctx rx info =
     done;
     (* Reachable stubs in ascending (length, id): their relative order
        in the new [order], where each sits after every existing node of
-       equal length ([Order.by_small_key] is stable by id and all
-       appended ids exceed all existing ids). Counting sort over the
+       equal length (the builder's counting sort is stable by id and
+       all appended ids exceed all existing ids). Counting sort over the
        one-byte lengths; filling in ascending id keeps equal lengths
        id-sorted. *)
     let cnt = rx.rx_cnt in
@@ -1228,7 +1171,7 @@ let get t d =
    through the builder with no resident footprint at all. Results are
    bit-identical to {!get} at any budget because {!compute_with} is
    pure. The returned record is only valid until the builder's next
-   transient compute when it was not promoted — callers must finish
+   compute when it was not promoted — callers must finish
    with it before their next [stream_get] on the same builder. *)
 let stream_get t bd d =
   match t.slots.(d) with

@@ -20,7 +20,9 @@
 type dest_info = private {
   dest : int;
   cls : Bytes.t;  (** route class per node, {!Policy.class_to_char} encoding *)
-  len : Bytes.t;  (** path length per node, valid when reachable; capped at 254 *)
+  len : Bytes.t;
+      (** path length per node, valid when reachable; at most
+          {!max_path_len} *)
   tie_off : Nsutil.I32.t;  (** CSR offsets, length [n + 1] *)
   tie : Nsutil.I32.t;
       (** CSR data: tiebreak-set members, each row sorted ascending by
@@ -39,20 +41,31 @@ type dest_info = private {
 }
 
 val max_path_len : int
-(** Upper bound on any stored path length (254 — lengths live in one
-    byte). *)
+(** Upper bound on any route length (254 — lengths live in one byte).
+    Routes longer than this do not exist: a node whose every route is
+    longer is unreachable, and a node whose preferred-class route is
+    longer falls back to its next class. *)
 
 val compute : ?tiebreak:Policy.tiebreak -> Asgraph.Graph.t -> int -> dest_info
 (** Static info for one destination; O(V + E). Tie rows are sorted
-    under [tiebreak] (default [Lowest_id]). *)
+    under [tiebreak] (default [Lowest_id]). Allocates a whole
+    {!builder}; callers building many records hold one and use
+    {!compute_with}. Raises [Invalid_argument] if the destination is
+    out of range. *)
 
 (** {2 Reusable computation scratch} *)
 
 type builder
-(** All O(n) scratch one three-stage computation touches, hoisted so a
-    caller computing many records (a streaming sweep at 36K+ nodes)
-    allocates nothing per destination. Single-domain state: keep one
-    builder per worker, never share one across domains. *)
+(** All O(n) scratch one statics build touches, hoisted so a caller
+    computing many records (a streaming sweep at 36K+ nodes) allocates
+    nothing per destination beyond the record it keeps. The build is
+    one fused pass: customer routes by BFS up provider links, peer
+    routes by walking the peers of that customer-route list in
+    ascending length, provider routes by merging both ascending lists
+    with a FIFO of provider-route nodes, then one pass over the nodes
+    that appends, sorts and reverse-counts each tie row and places the
+    length order. Single-domain state: keep one builder per worker,
+    never share one across domains. *)
 
 val make_builder : int -> builder
 (** A builder for [n]-node graphs; {!compute_with} raises
@@ -66,10 +79,18 @@ val compute_with :
   int ->
   dest_info
 (** {!compute} through a builder's scratch — bit-identical output.
-    With [~transient:true] the record itself also lives in
-    builder-owned buffers: it is only valid until the builder's next
-    transient compute, and must never outlive the builder or be
-    retained (the store's {!stream_get} promotes by deep copy). *)
+    Every build assembles the record in builder-owned buffers. With
+    [~transient:true] those buffers are the record: it is only valid
+    until the builder's next compute (transient or not), and must
+    never outlive the builder or be retained (the store's
+    {!stream_get} promotes by deep copy). Otherwise the record is an
+    exact-size copy that owns its memory.
+
+    Precondition: the peer CSR of [g] is symmetric ([j] is in row [i]
+    iff [i] is in row [j]); stage 2 finds a node's peer routes by
+    walking the rows of its peers. {!Asgraph.Graph.build} — the only
+    constructor of a graph, behind every loader and
+    {!Asgraph.Graph.apply_delta} — guarantees it. *)
 
 val class_of : dest_info -> int -> Policy.route_class
 val length_of : dest_info -> int -> int
@@ -200,7 +221,7 @@ val stream_get : t -> builder -> int -> dest_info
     of the budget instead of churning every round (clock eviction
     degenerates to 100% turnover when a sweep touches every
     destination once). A non-promoted return value is only valid until
-    the builder's next transient compute. Bit-identical to {!get} at
+    the builder's next compute. Bit-identical to {!get} at
     any budget and worker count ({!compute_with} is pure). *)
 
 val batch_grain : t -> workers:int -> tasks:int -> int

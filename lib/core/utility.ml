@@ -110,6 +110,10 @@ let add_pairs (idx, v) ~into =
    polymorphic hashing/compare on the hot path. *)
 module Itbl = Hashtbl.Make (Int)
 
+(* The whole-graph loops below read each destination's statics once,
+   done with it before the next fetch, so a miss builds through one
+   builder per call ({!Route_static.stream_get}) instead of a fresh
+   builder per destination, and never evicts under a budget. *)
 let customer_volumes config statics state ~weight =
   let g = Route_static.graph statics in
   let n = Graph.n g in
@@ -117,8 +121,9 @@ let customer_volumes config statics state ~weight =
   let secure = State.secure_bytes state in
   let use_secp = State.use_secp_bytes state ~stub_tiebreak:config.Config.stub_tiebreak in
   let volumes = Itbl.create 256 in
+  let bd = Route_static.make_builder n in
   for d = 0 to n - 1 do
-    let info = Route_static.get statics d in
+    let info = Route_static.stream_get statics bd d in
     Forest.compute info ~tiebreak:config.Config.tiebreak ~secure ~use_secp ~weight scratch;
     let order = info.Route_static.order in
     for k = 0 to I32.length order - 1 do
@@ -144,8 +149,9 @@ let all config statics state ~weight =
   let into = Array.make n 0.0 in
   let secure = State.secure_bytes state in
   let use_secp = State.use_secp_bytes state ~stub_tiebreak:config.Config.stub_tiebreak in
+  let bd = Route_static.make_builder n in
   for d = 0 to n - 1 do
-    let info = Route_static.get statics d in
+    let info = Route_static.stream_get statics bd d in
     Forest.compute info ~tiebreak:config.Config.tiebreak ~secure ~use_secp ~weight scratch;
     accumulate config.Config.model g info scratch ~weight ~into
   done;

@@ -273,6 +273,128 @@ let test_tie_sort_preserves_members =
       !ok)
 
 (* ------------------------------------------------------------------ *)
+(* The statics builder against the reference kernel (Testkit.Refstatics):
+   bit-identical records on every destination, transient and persistent,
+   through one reused builder. *)
+
+let oracle_agrees label want info =
+  match Testkit.Refstatics.diff want info with
+  | None -> true
+  | Some field ->
+      QCheck2.Test.fail_reportf "dest %d, %s record: %s differs from the oracle"
+        want.Testkit.Refstatics.dest label field
+
+let oracle_check tb bd g d =
+  let want = Testkit.Refstatics.compute ~tiebreak:tb g d in
+  let persistent = Route_static.compute_with ~tiebreak:tb bd g d in
+  let transient = Route_static.compute_with ~tiebreak:tb ~transient:true bd g d in
+  oracle_agrees "transient" want transient
+  && oracle_agrees "persistent" want persistent
+  && Route_static.check_info g persistent = Ok ()
+
+(* A rank table over a random subset of each node's neighbors, so
+   explicit ranks and the id fallback meet inside one row. *)
+let random_ranking g seed =
+  let r = Policy.ranking_create () in
+  let rng = Nsutil.Prng.create ~seed in
+  let rank i j =
+    if Nsutil.Prng.int rng 3 > 0 then
+      Policy.set_rank r ~node:i ~next_hop:j (Nsutil.Prng.int rng 4)
+  in
+  for i = 0 to Graph.n g - 1 do
+    Graph.iter_customers g i (rank i);
+    Graph.iter_peers g i (rank i);
+    Graph.iter_providers g i (rank i)
+  done;
+  Policy.Ranked r
+
+let test_builder_matches_oracle =
+  qtest ~count:150 "builder = reference kernel, every destination and tiebreak"
+    QCheck2.Gen.(pair (Testkit.Graphgen.graph ~max_n:40 ()) (int_bound 0xffff))
+    (fun (g, seed) ->
+      let n = Graph.n g in
+      let bd = Route_static.make_builder n in
+      List.for_all
+        (fun tb ->
+          (* Persistent records must not alias the builder: build them
+             all first, and check them again after the reuse below. *)
+          let kept = Array.init n (fun d -> Route_static.compute_with ~tiebreak:tb bd g d) in
+          List.for_all (oracle_check tb bd g) (List.init n Fun.id)
+          && Array.for_all
+               (fun info ->
+                 oracle_agrees "kept"
+                   (Testkit.Refstatics.compute ~tiebreak:tb g info.Route_static.dest)
+                   info)
+               kept)
+        [ Policy.Lowest_id; Policy.Hashed seed; random_ranking g seed ])
+
+let test_builder_matches_oracle_paper_shape () =
+  let params = Topology.Params.with_n Topology.Params.default 700 in
+  let g = (Topology.Gen.generate { params with seed = 5 }).graph in
+  let bd = Route_static.make_builder (Graph.n g) in
+  List.iter
+    (fun tb ->
+      for d = 0 to Graph.n g - 1 do
+        check Alcotest.bool (Printf.sprintf "dest %d" d) true (oracle_check tb bd g d)
+      done)
+    [ Policy.Lowest_id; Policy.Hashed 0x2f1 ]
+
+(* Path lengths live in one byte: every stage stops at [max_path_len]
+   and longer routes are unreachable. On a provider chain (node [i + 1]
+   is the provider of [i]) the bottom destination's routes climb as
+   customer routes and the top's descend as provider routes. *)
+let chain n =
+  Graph.build ~n ~cp_edges:(List.init (n - 1) (fun i -> (i + 1, i))) ~peer_edges:[] ~cps:[]
+
+let test_path_length_cap () =
+  let cap = Route_static.max_path_len in
+  List.iter
+    (fun n ->
+      let g = chain n in
+      List.iter
+        (fun d ->
+          let info = Route_static.compute g d in
+          let name what = Printf.sprintf "chain %d, dest %d: %s" n d what in
+          check Alcotest.(option string) (name "oracle") None
+            (Testkit.Refstatics.diff (Testkit.Refstatics.compute g d) info);
+          check Alcotest.bool (name "check_info") true (Route_static.check_info g info = Ok ());
+          check Alcotest.int (name "max_len") (min cap (n - 1)) info.max_len;
+          check Alcotest.int (name "reachable") (min n (cap + 1)) (Route_static.order_length info);
+          check
+            Alcotest.(list (option int))
+            (name "lengths")
+            (List.init n (fun i -> if abs (i - d) <= cap then Some (abs (i - d)) else None))
+            (List.init n (fun i ->
+                 if Route_static.reachable info i then Some (Route_static.length_of info i)
+                 else None)))
+        [ 0; n - 1 ])
+    [ 255; 256; 257; 300 ]
+
+(* Growing a chain past the cap: a stub appended below the bottom (the
+   surgical path) and a provider added above the top (the rebuild path)
+   must both repair to a fresh compute on the grown graph. *)
+let test_path_length_cap_repair () =
+  List.iter
+    (fun n ->
+      let g = chain n in
+      List.iter
+        (fun (what, op) ->
+          let delta = { Graph.base_n = n; grown = 1; ops = [ op ] } in
+          let g' = Graph.apply_delta g delta in
+          for d = 0 to n - 1 do
+            let repaired = Route_static.repair g' ~delta (Route_static.compute g d) in
+            check Alcotest.bool
+              (Printf.sprintf "chain %d + %s, dest %d" n what d)
+              true
+              (Route_static.info_equal repaired (Route_static.compute g' d))
+          done)
+        [
+          ("stub below", Graph.Edge_add ((0, n), Graph.Customer));
+          ("provider above", Graph.Edge_add ((n, n - 1), Graph.Customer));
+        ])
+    [ 254; 255; 256 ]
+
+(* ------------------------------------------------------------------ *)
 (* Forest *)
 
 let forest_for g d ~secure_list ~secp_list ~weight =
@@ -746,6 +868,15 @@ let () =
           test_tie_rows_match_spec;
           test_tie_rows_presorted;
           test_tie_sort_preserves_members;
+        ] );
+      ( "statics-ref",
+        [
+          test_builder_matches_oracle;
+          Alcotest.test_case "paper shape, N = 700" `Quick
+            test_builder_matches_oracle_paper_shape;
+          Alcotest.test_case "path lengths capped at 254" `Quick test_path_length_cap;
+          Alcotest.test_case "chain growth repairs to a fresh compute" `Quick
+            test_path_length_cap_repair;
         ] );
       ( "forest",
         [

@@ -153,6 +153,35 @@ let test_incoming_utilities_hand_checked () =
   check (Alcotest.float 1e-9) "tier1" 8.0 u.(0);
   check (Alcotest.float 1e-9) "stub" 0.0 u.(5)
 
+(* The whole-graph utility loops stream evicted statics through one
+   builder: a store far smaller than one round's records must give the
+   same floats as an unbounded one, and stay within its budget. *)
+let test_utility_loops_budget_invariant () =
+  let params = Topology.Params.with_n Topology.Params.default 150 in
+  let g = (Topology.Gen.generate { params with seed = 3 }).graph in
+  let n = Graph.n g in
+  let state = State.create g ~early:[ 0; 1; 2; 3 ] in
+  let weight = Array.init n (fun i -> 1.0 +. float (i mod 7)) in
+  let unbounded = Route_static.create ~budget_bytes:0 g in
+  let tiny = Route_static.create ~budget_bytes:20_000 g in
+  List.iter
+    (fun model ->
+      let cfg = { lowest_id_cfg with model } in
+      check
+        Alcotest.(array (float 0.0))
+        "Utility.all" (Utility.all cfg unbounded state ~weight)
+        (Utility.all cfg tiny state ~weight);
+      check
+        Alcotest.(array (list (pair int (float 0.0))))
+        "customer_volumes"
+        (Utility.customer_volumes cfg unbounded state ~weight)
+        (Utility.customer_volumes cfg tiny state ~weight))
+    [ Config.Outgoing; Config.Incoming ];
+  let st = Route_static.stats tiny in
+  check Alcotest.bool "tiny store missed" true (st.misses > n);
+  check Alcotest.bool "tiny store within budget" true (st.cached_bytes <= st.budget_bytes);
+  check Alcotest.bool "unbounded store warm" true ((Route_static.stats unbounded).cached = n)
+
 let test_utility_all_equals_sum_of_contributions () =
   let g = small () in
   let statics = Route_static.create g in
@@ -590,6 +619,8 @@ let () =
             test_incoming_utilities_hand_checked;
           Alcotest.test_case "all = sum of contributions" `Quick
             test_utility_all_equals_sum_of_contributions;
+          Alcotest.test_case "whole-graph loops: tiny budget = unbounded" `Quick
+            test_utility_loops_budget_invariant;
           test_stub_and_cp_utility_zero;
           test_theorem_6_2;
         ] );

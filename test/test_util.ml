@@ -1,11 +1,10 @@
 (* Tests for the nsutil substrate: PRNG, CSR, bitsets, statistics,
-   bucket queue, counting sort, tables. *)
+   counting sort, tables. *)
 
 module Prng = Nsutil.Prng
 module Csr = Nsutil.Csr
 module Bitset = Nsutil.Bitset
 module Stats = Nsutil.Stats
-module Bucketq = Nsutil.Bucketq
 module Order = Nsutil.Order
 module Table = Nsutil.Table
 
@@ -238,41 +237,6 @@ let test_stats_qcheck_percentile_bounds =
       let a = Array.of_list l in
       let v = Stats.percentile a p in
       v >= Stats.minimum a -. 1e-9 && v <= Stats.maximum a +. 1e-9)
-
-(* ------------------------------------------------------------------ *)
-(* Bucketq *)
-
-let test_bucketq_fifo_within_key () =
-  let q = Bucketq.create ~max_key:10 in
-  Bucketq.push q ~key:2 100;
-  Bucketq.push q ~key:2 200;
-  Bucketq.push q ~key:1 50;
-  check Alcotest.(option (pair int int)) "min key first" (Some (1, 50)) (Bucketq.pop q);
-  check Alcotest.(option (pair int int)) "fifo" (Some (2, 100)) (Bucketq.pop q);
-  check Alcotest.(option (pair int int)) "fifo 2" (Some (2, 200)) (Bucketq.pop q);
-  check Alcotest.(option (pair int int)) "empty" None (Bucketq.pop q)
-
-let test_bucketq_monotone_push () =
-  let q = Bucketq.create ~max_key:10 in
-  Bucketq.push q ~key:3 1;
-  ignore (Bucketq.pop q);
-  Alcotest.check_raises "push below cursor"
-    (Invalid_argument "Bucketq.push: non-monotone key") (fun () -> Bucketq.push q ~key:2 9)
-
-let test_bucketq_interleaved () =
-  let q = Bucketq.create ~max_key:20 in
-  Bucketq.push q ~key:0 0;
-  let out = ref [] in
-  let rec drain () =
-    match Bucketq.pop q with
-    | None -> ()
-    | Some (key, v) ->
-        out := v :: !out;
-        if key < 5 then Bucketq.push q ~key:(key + 1) (v + 1);
-        drain ()
-  in
-  drain ();
-  check Alcotest.(list int) "bfs chain" [ 0; 1; 2; 3; 4; 5 ] (List.rev !out)
 
 (* ------------------------------------------------------------------ *)
 (* Order *)
@@ -597,12 +561,6 @@ let () =
           Alcotest.test_case "fraction" `Quick test_stats_fraction;
           Alcotest.test_case "median does not mutate" `Quick test_stats_median_does_not_mutate;
           test_stats_qcheck_percentile_bounds;
-        ] );
-      ( "bucketq",
-        [
-          Alcotest.test_case "fifo within key" `Quick test_bucketq_fifo_within_key;
-          Alcotest.test_case "monotone push enforced" `Quick test_bucketq_monotone_push;
-          Alcotest.test_case "interleaved push/pop" `Quick test_bucketq_interleaved;
         ] );
       ( "order",
         [
