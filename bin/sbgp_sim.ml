@@ -33,8 +33,8 @@ let guard f =
             "this is not a checkpoint file; point --checkpoint at a snapshot \
              this tool wrote"
         | Core.Checkpoint.Unsupported_version _ ->
-            "the snapshot was written by a newer build; rerun without --resume \
-             to start over"
+            "the snapshot was written by an older or newer build; rerun \
+             without --resume to start over"
         | Core.Checkpoint.Unsupported_kind 1 ->
             "this is a churn-run snapshot; resume it through the evolution \
              runner ('exp evolution'), not 'run --resume'"
@@ -215,26 +215,6 @@ let run_cmd =
              bit-identical; demotion and skip counts are reported. Equivalent \
              to \\$(b,SBGP_DEGRADE=1).")
   in
-  let flip_kernel =
-    let kernel_conv =
-      Arg.conv
-        ( (fun s ->
-            match Core.Config.flip_kernel_of_string s with
-            | Some k -> Ok k
-            | None -> Error (`Msg (Printf.sprintf "expected 'full' or 'delta', got %S" s))),
-          fun fmt k -> Format.pp_print_string fmt (Core.Config.flip_kernel_to_string k) )
-    in
-    Arg.(
-      value
-      & opt kernel_conv Core.Config.default.flip_kernel
-      & info [ "flip-kernel" ]
-          ~doc:
-            "Flip kernel for the per-candidate probes of the sweep: $(b,delta) repairs \
-             the destination's base forest in place and undoes the repair after each \
-             probe; $(b,full) recomputes the forest from scratch per probe. Results are \
-             bit-identical either way; only speed changes. The default honours \
-             \\$(b,SBGP_FLIP_KERNEL).")
-  in
   let statics_mb =
     Arg.(
       value & opt int 0
@@ -319,8 +299,8 @@ let run_cmd =
       end
   in
   let run n seed theta x model adopters_spec no_stub_tiebreak csv caida workers
-      checkpoint_path checkpoint_every resume retries task_timeout_ms degrade flip_kernel
-      statics_mb trace metrics journal metrics_port obs_report =
+      checkpoint_path checkpoint_every resume retries task_timeout_ms degrade statics_mb
+      trace metrics journal metrics_port obs_report =
     Option.iter Nsobs.Control.set_trace trace;
     Option.iter Nsobs.Control.set_metrics metrics;
     Option.iter Nsobs.Control.set_journal journal;
@@ -375,7 +355,6 @@ let run_cmd =
         retries = max 0 retries;
         task_timeout_ms = max 0 task_timeout_ms;
         degrade = degrade || Core.Config.default.degrade;
-        flip_kernel;
       }
     in
     if resume && checkpoint_path = None then begin
@@ -480,11 +459,11 @@ let run_cmd =
   let doc = "Run one S*BGP deployment simulation." in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const (fun a b c d e f g h i j k l m o p q r s t u v w x ->
-          guard (fun () -> run a b c d e f g h i j k l m o p q r s t u v w x))
+      const (fun a b c d e f g h i j k l m o p q r s t u v w ->
+          guard (fun () -> run a b c d e f g h i j k l m o p q r s t u v w))
       $ n_arg $ seed_arg $ theta $ x $ model $ adopters $ no_stub_tiebreak $ csv $ caida
       $ workers $ checkpoint_path $ checkpoint_every $ resume $ retries $ task_timeout_ms
-      $ degrade $ flip_kernel $ statics_mb $ trace $ metrics $ journal $ metrics_port
+      $ degrade $ statics_mb $ trace $ metrics $ journal $ metrics_port
       $ obs_report)
 
 (* exp: regenerate a table/figure. *)
@@ -496,24 +475,7 @@ let exp_cmd =
     Arg.(
       value & opt (some string) None & info [ "csv-dir" ] ~doc:"Also write one CSV per table.")
   in
-  let statics_kernel =
-    Arg.(
-      value
-      & opt (some (enum [ ("full", Bgp.Route_static.Full); ("delta", Bgp.Route_static.Delta) ])) None
-      & info [ "statics-kernel" ]
-          ~doc:
-            "How the route-statics store is maintained across the topology-churn epochs \
-             of the $(b,evolution) experiment: $(b,delta) migrates the warm store \
-             through the growth delta, repairing only destinations the churn reaches; \
-             $(b,full) rebuilds every destination each epoch. Results are bit-identical \
-             either way; only epoch time changes. Equivalent to exporting \
-             $(b,SBGP_STATICS_KERNEL); unset, that variable (default $(b,delta)) \
-             applies.")
-  in
-  let run n seed ids csv_dir statics_kernel =
-    Option.iter
-      (fun k -> Unix.putenv "SBGP_STATICS_KERNEL" (Bgp.Route_static.kernel_to_string k))
-      statics_kernel;
+  let run n seed ids csv_dir =
     let scenario = Experiments.Scenario.create ~n ~seed () in
     let only = if ids = [] then None else Some ids in
     let unknown =
@@ -535,8 +497,8 @@ let exp_cmd =
   let doc = "Regenerate the paper's tables and figures." in
   Cmd.v (Cmd.info "exp" ~doc)
     Term.(
-      const (fun a b c d e -> guard (fun () -> run a b c d e))
-      $ n_arg $ seed_arg $ ids $ csv_dir $ statics_kernel)
+      const (fun a b c d -> guard (fun () -> run a b c d))
+      $ n_arg $ seed_arg $ ids $ csv_dir)
 
 let list_cmd =
   let run () =

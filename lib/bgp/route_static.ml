@@ -459,24 +459,6 @@ let info_equal a b =
 
 type kernel = Full | Delta
 
-let kernel_to_string = function Full -> "full" | Delta -> "delta"
-
-let kernel_of_string = function
-  | "full" -> Some Full
-  | "delta" -> Some Delta
-  | _ -> None
-
-let kernel_of_env () =
-  match Sys.getenv_opt "SBGP_STATICS_KERNEL" with
-  | None | Some "" -> Delta
-  | Some s -> (
-      match kernel_of_string (String.lowercase_ascii (String.trim s)) with
-      | Some k -> k
-      | None ->
-          Printf.eprintf
-            "sbgp: invalid SBGP_STATICS_KERNEL=%S (expected full|delta); using delta\n%!" s;
-          Delta)
-
 (* Bump allocator over large slab chunks. The GC paces major work on
    custom-block bytes, so allocating each migrated entry's arrays as
    its own Bigarray makes a store-wide rebase allocation-dominated —
@@ -1322,8 +1304,7 @@ let maybe_corrupt faults ~old info' =
       | None -> info')
   | _ -> info'
 
-let rebase ?kernel ?(workers = 1) ?faults t ~delta g' =
-  let kernel = match kernel with Some k -> k | None -> kernel_of_env () in
+let rebase ?(kernel = Delta) ?(workers = 1) ?faults t ~delta g' =
   let base_n = delta.Graph.base_n in
   if Graph.n t.g <> base_n then
     invalid_arg "Route_static.rebase: store does not match delta.base_n";

@@ -135,15 +135,8 @@ type kernel = Full | Delta
     [Full] rebuilds from scratch, [Delta] patches per-destination
     records surgically where the churn provably cannot reach the
     destination's routing tree and falls back to {!compute} elsewhere.
-    Both produce bit-identical results; selected by
-    [SBGP_STATICS_KERNEL] / [--statics-kernel]. *)
-
-val kernel_of_env : unit -> kernel
-(** Reads [SBGP_STATICS_KERNEL] ([full] or [delta]); defaults to
-    [Delta], warning once on an invalid value. *)
-
-val kernel_of_string : string -> kernel option
-val kernel_to_string : kernel -> string
+    Both produce bit-identical results: [Delta] is the production
+    kernel and [Full] the reference the parity suites hold it to. *)
 
 val repair : Asgraph.Graph.t -> delta:Asgraph.Graph.delta -> dest_info -> dest_info
 (** [repair g' ~delta info] is the statics of [info.dest] on the
@@ -281,7 +274,7 @@ val rebase :
 (** [rebase t ~delta g'] retargets the store at the churned graph
     [g' = apply_delta (graph t) delta] in place: fresh slot space and
     shard stripes sized for [g'] (the total byte budget is preserved),
-    then — under the [Delta] kernel (default {!kernel_of_env}) — every
+    then — under the [Delta] kernel (the default) — every
     resident entry is migrated through {!repair_surgical}, re-inserted
     through the normal budget accounting so eviction state stays
     exact. The migration itself fans out over [workers] domains

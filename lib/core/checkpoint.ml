@@ -41,19 +41,17 @@ let () =
 
      magic   "SBGPCKP1"                        8 bytes
      version u16 (= 3)                         2 bytes
-     kind    u16 (0 = engine, 1 = churn)       2 bytes   (version >= 2)
+     kind    u16 (0 = engine, 1 = churn)       2 bytes
      digest  config/topology SHA-256          32 bytes
      round   u32                               4 bytes
      length  payload bytes, u64                8 bytes
      payload                                   (length)
      footer  SHA-256 of everything above      32 bytes
 
-   Version 3 shares version 2's header; the bump marks a payload
-   layout change (the engine's progress record compacted its
-   incremental-cache and oscillation-table serializations), which the
-   framing layer cannot see — payload owners gate on [frame.version].
-   Version 1 frames (no kind field) still parse at this layer,
-   implying an engine record.
+   Only version 3 loads. Version 1 frames had no kind field, and both
+   earlier versions carry payloads laid out for older engine types,
+   which [Marshal] cannot tell apart from current ones; rejecting them
+   here keeps every payload owner from unmarshaling them.
 
    The footer authenticates the frame against torn writes and bit
    rot; the digest ties the snapshot to the inputs that produced it.
@@ -102,10 +100,14 @@ let timed hist f =
 let magic = "SBGPCKP1"
 let version = 3
 let digest_len = 32
+let null_digest = String.make digest_len '\000'
 
-(* Header length per frame version: v1 has no kind field. *)
-let header_len_v v = 8 + 2 + (if v >= 2 then 2 else 0) + digest_len + 4 + 8
-let header_len = header_len_v version
+(* Field offsets; the header ends at [header_len]. *)
+let kind_off = 10
+let digest_off = 12
+let round_off = digest_off + digest_len
+let length_off = round_off + 4
+let header_len = length_off + 8
 let footer_len = digest_len
 
 let frame_header ~kind ~digest ~round ~payload_len =
@@ -210,53 +212,40 @@ let load_frame ~path ~digest =
       let len = String.length s in
       let prefix = min len (String.length magic) in
       if String.sub s 0 prefix <> String.sub magic 0 prefix then err Bad_magic
-      else if len < 10 then err Truncated
+      else if len < kind_off then err Truncated
       else begin
         let v = String.get_uint16_be s 8 in
-        if v < 1 || v > version then err (Unsupported_version v)
+        if v <> version then err (Unsupported_version v)
+        else if len < header_len + footer_len then err Truncated
         else begin
-          let header_len = header_len_v v in
-          (* Offset of the digest field; the kind (v2+) sits between
-             the version and the digest. *)
-          let kind_off = 10 in
-          let digest_off = if v >= 2 then 12 else 10 in
-          if len < header_len + footer_len then err Truncated
-          else begin
-            let kind_code = if v >= 2 then String.get_uint16_be s kind_off else 0 in
-            match kind_of_code kind_code with
-            | None -> err (Unsupported_kind kind_code)
-            | Some kind ->
-                let payload_len =
-                  Int64.to_int (String.get_int64_be s (digest_off + digest_len + 4))
-                in
-                let total = header_len + payload_len + footer_len in
-                if payload_len < 0 || len < total then err Truncated
-                else if len > total then err Corrupt
+          let kind_code = String.get_uint16_be s kind_off in
+          match kind_of_code kind_code with
+          | None -> err (Unsupported_kind kind_code)
+          | Some kind ->
+              let payload_len = Int64.to_int (String.get_int64_be s length_off) in
+              let total = header_len + payload_len + footer_len in
+              if payload_len < 0 || len < total then err Truncated
+              else if len > total then err Corrupt
+              else begin
+                let body_len = header_len + payload_len in
+                let ctx = Sha256.init () in
+                Sha256.feed_sub ctx s ~off:0 ~len:body_len;
+                let footer = String.sub s body_len footer_len in
+                if not (String.equal (Sha256.finalize ctx) footer) then err Corrupt
                 else begin
-                  let body_len = header_len + payload_len in
-                  let ctx = Sha256.init () in
-                  Sha256.feed_sub ctx s ~off:0 ~len:body_len;
-                  let footer = String.sub s body_len footer_len in
-                  if not (String.equal (Sha256.finalize ctx) footer) then err Corrupt
-                  else begin
-                    let found = String.sub s digest_off digest_len in
-                    if not (String.equal found digest) then
-                      err (Config_mismatch { expected = hex digest; found = hex found })
-                    else begin
-                      let round =
-                        Int32.to_int (String.get_int32_be s (digest_off + digest_len))
-                      in
-                      Ok
-                        {
-                          round;
-                          kind;
-                          version = v;
-                          payload = String.sub s header_len payload_len;
-                        }
-                    end
-                  end
+                  let found = String.sub s digest_off digest_len in
+                  if not (String.equal found digest) then
+                    err (Config_mismatch { expected = hex digest; found = hex found })
+                  else
+                    Ok
+                      {
+                        round = Int32.to_int (String.get_int32_be s round_off);
+                        kind;
+                        version = v;
+                        payload = String.sub s header_len payload_len;
+                      }
                 end
-          end
+              end
         end
       end
 
@@ -283,3 +272,24 @@ let load ~path ~digest =
 
 let load_exn ~path ~digest =
   match load ~path ~digest with Ok v -> v | Stdlib.Error e -> raise (Error e)
+
+let load_payload ~kind ~path ~digest =
+  let f = load_exn ~path ~digest in
+  if f.kind <> kind then raise (Error (Unsupported_kind (kind_code f.kind)));
+  (f.round, Marshal.from_string f.payload 0)
+
+let write_or_skip ?faults ?(kind = Engine) ~degrade ~path ~digest ~round payload =
+  match write ?faults ~kind ~path ~digest ~round payload with
+  | () -> true
+  | exception Error (Io m) when degrade ->
+      (* The tmp+rename protocol left the previous frame intact; losing
+         one snapshot interval is strictly better than losing the
+         run. *)
+      if Nsobs.Journal.enabled () then
+        Nsobs.Journal.event "checkpoint_skip"
+          [ ("round", Nsobs.Journal.Int round); ("error", Nsobs.Journal.Str m) ];
+      Nsutil.Warnings.emit
+        (Printf.sprintf
+           "sbgp: %s: checkpoint write failed (%s); continuing on the previous snapshot"
+           (kind_to_string kind) m);
+      false

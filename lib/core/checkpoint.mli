@@ -12,13 +12,11 @@
     written to [path ^ ".tmp"] and renamed into place, so a crash
     mid-write never clobbers the previous valid snapshot.
 
-    Frames are written at version 3. Older frames still parse at this
-    layer (version-1 frames predate the [kind] field and imply
-    {!Engine}), but the version is reported in the decoded {!frame}
-    and payload owners gate on it: the engine's progress payload
-    changed layout at version 3, so {!Core.Engine.resume} rejects
-    older frames with {!Unsupported_version} rather than unmarshal
-    bytes laid out differently.
+    Frames are written, and only load, at version 3: {!load} rejects
+    any other version with {!Unsupported_version}. Versions 1 and 2
+    carried payloads laid out for older engine types, which
+    unmarshaling under the current types would misread, so the
+    version policy lives here, once, for every payload owner.
 
     The payload is a caller-owned [Marshal] blob. Unmarshaling
     untrusted bytes is unsafe, which is exactly why the checksum and
@@ -35,7 +33,7 @@ val kind_to_string : kind -> string
 type frame = {
   round : int;  (** engine round (or churn shot counter) at write time *)
   kind : kind;
-  version : int;  (** frame version found on disk (1, 2 or 3) *)
+  version : int;  (** frame version found on disk (always 3: no other loads) *)
   payload : string;
 }
 
@@ -43,7 +41,9 @@ type error =
   | Io of string  (** open/read/write/rename failed *)
   | Bad_magic  (** not a checkpoint file *)
   | Unsupported_version of int
-  | Unsupported_kind of int  (** v2+ frame with an unknown record kind *)
+  | Unsupported_kind of int
+      (** a record kind this build does not know, or (from
+          {!load_payload}) another owner's kind *)
   | Truncated  (** shorter than its header declares *)
   | Corrupt  (** integrity footer does not match the contents *)
   | Config_mismatch of { expected : string; found : string }
@@ -52,6 +52,11 @@ type error =
 exception Error of error
 
 val error_to_string : error -> string
+
+val null_digest : string
+(** 32 zero bytes: the digest a run that writes no frames passes
+    along, so the input digest is only computed when a snapshot will
+    be written. *)
 
 val write :
   ?faults:Nsutil.Faults.t ->
@@ -75,6 +80,22 @@ val write :
     a failed final flush; the [.tmp] file is then not renamed into
     place. *)
 
+val write_or_skip :
+  ?faults:Nsutil.Faults.t ->
+  ?kind:kind ->
+  degrade:bool ->
+  path:string ->
+  digest:string ->
+  round:int ->
+  string ->
+  bool
+(** {!write}, returning [true]. With [degrade], a write failing with
+    {!Error} [(Io _)] is skipped instead of raised: it emits a
+    [checkpoint_skip] journal event and a one-line warning naming the
+    [kind], and returns [false]. The previous frame survives (the
+    tmp+rename protocol never touched it). The degradation ladder's
+    checkpoint rung, shared by every frame owner. *)
+
 val load : path:string -> digest:string -> (frame, error) result
 (** Validate [path] against [digest] and return the decoded frame.
     Checks run outside-in: magic, version, kind, framing length,
@@ -83,3 +104,11 @@ val load : path:string -> digest:string -> (frame, error) result
 
 val load_exn : path:string -> digest:string -> frame
 (** {!load}, raising {!Error}. *)
+
+val load_payload : kind:kind -> path:string -> digest:string -> int * 'a
+(** Open a frame for its owner: {!load_exn}, then reject a frame of
+    another [kind] with {!Error} [(Unsupported_kind code)] (the code
+    of the kind found), then unmarshal the payload. Returns the
+    frame's round and the payload. The payload's type is the caller's
+    claim: annotate the result with the owner's progress type, and
+    only ever load frames that owner wrote. *)

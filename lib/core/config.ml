@@ -23,21 +23,6 @@ type t = {
   degrade : bool;
 }
 
-let flip_kernel_of_env () =
-  match Sys.getenv_opt "SBGP_FLIP_KERNEL" with
-  | None | Some "" -> Flip_delta
-  | Some s -> (
-      match String.lowercase_ascii s with
-      | "delta" -> Flip_delta
-      | "full" -> Flip_full
-      | _ ->
-          Printf.eprintf
-            "sbgp: warning: SBGP_FLIP_KERNEL=%s is neither \"full\" nor \
-             \"delta\"; using delta\n\
-             %!"
-            s;
-          Flip_delta)
-
 let default =
   {
     theta = 0.05;
@@ -54,8 +39,8 @@ let default =
     jitter_seed = 1;
     workers = Parallel.Pool.default_workers ();
     retries = 2;
-    flip_kernel = flip_kernel_of_env ();
-    statics_kernel = Bgp.Route_static.kernel_of_env ();
+    flip_kernel = Flip_delta;
+    statics_kernel = Bgp.Route_static.Delta;
     task_timeout_ms =
       Nsutil.Env.int_var ~name:"SBGP_TASK_TIMEOUT_MS" ~min:0 ~default:0 ();
     degrade = false;
@@ -66,13 +51,3 @@ let incoming = { default with model = Incoming; allow_turn_off = true }
 let utility_model_to_string = function
   | Outgoing -> "outgoing"
   | Incoming -> "incoming"
-
-let flip_kernel_to_string = function
-  | Flip_full -> "full"
-  | Flip_delta -> "delta"
-
-let flip_kernel_of_string s =
-  match String.lowercase_ascii s with
-  | "full" -> Some Flip_full
-  | "delta" -> Some Flip_delta
-  | _ -> None

@@ -7,8 +7,8 @@ type utility_model =
 type flip_kernel =
   | Flip_full
       (** probe each admitted candidate with a full O(t·N)
-          {!Bgp.Forest.compute} (the PR 1–3 behavior; kept as a
-          reference/fallback path) *)
+          {!Bgp.Forest.compute} (the reference kernel, and the
+          degradation ladder's fallback) *)
   | Flip_delta
       (** probe with {!Bgp.Forest.repair}: start from the
           destination's base forest and re-decide only the frontier
@@ -52,9 +52,11 @@ type t = {
       (** which candidate-probe kernel the sweep uses; results are
           bit-identical for both (enforced by the parity suite), so —
           like [workers] — it is excluded from checkpoint digests.
-          Defaults to [Flip_delta], overridable via the
-          [SBGP_FLIP_KERNEL] environment variable ([full] or
-          [delta]). *)
+          [Flip_delta] is the production kernel and the default;
+          [Flip_full] is the reference the parity and chaos suites
+          select, and the kernel the degradation ladder demotes a
+          destination to. No option or environment variable sets
+          it. *)
   statics_kernel : Bgp.Route_static.kernel;
       (** how the per-destination statics store is maintained across
           topology churn (the Section 8.4 evolution epochs):
@@ -63,9 +65,9 @@ type t = {
           {!Bgp.Route_static.rebase}, repairing only destinations the
           churn reaches. Bit-identical results (enforced by the churn
           differential in the parity suite), so — like [flip_kernel] —
-          it is excluded from checkpoint digests. Defaults to [Delta],
-          overridable via [SBGP_STATICS_KERNEL] ([full] or [delta])
-          or [--statics-kernel]. *)
+          it is excluded from checkpoint digests. Defaults to [Delta];
+          [Full] is the reference the parity and chaos suites
+          select. *)
   task_timeout_ms : int;
       (** watchdog deadline for the supervised engine sweeps
           ({!Parallel.Pool.supervision}): a worker making no
@@ -96,8 +98,3 @@ val incoming : t
     enabled. *)
 
 val utility_model_to_string : utility_model -> string
-
-val flip_kernel_to_string : flip_kernel -> string
-
-val flip_kernel_of_string : string -> flip_kernel option
-(** Case-insensitive ["full"] / ["delta"]; [None] otherwise. *)

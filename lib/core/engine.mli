@@ -90,9 +90,11 @@ type snapshot_sink = {
 val input_digest :
   Config.t -> Bgp.Route_static.t -> weight:float array -> state:State.t -> string
 (** SHA-256 (32 raw bytes) over every run input that determines
-    results: the config (minus [workers] and [retries], which never
-    affect results), the topology, the traffic weights and the
-    initial deployment state. {!resume} accepts only snapshots
+    results: the config, the topology, the traffic weights and the
+    initial deployment state. Left out, because they never affect
+    results: the config's [workers], [retries], [flip_kernel],
+    [statics_kernel], [task_timeout_ms] and [degrade], and the
+    statics store's byte budget. {!resume} accepts only snapshots
     written under an equal digest. *)
 
 val run :
@@ -161,15 +163,14 @@ val resume :
     or a silently wrong resume.
 
     Because the snapshot restores the full cross-round memory —
-    including, in version-2 frames, the warm statics store — the
-    result is structurally identical — float-for-float, including
-    the cache {e and} statics counters — to the uninterrupted run,
-    for any worker count. Version-1 frames (no statics snapshot)
-    still resume with the caller's store, as before. A
-    [Checkpoint.Churn]-kind snapshot is rejected with
-    {!Checkpoint.Error} [(Unsupported_kind _)] — resume those with
-    the evolution runner. Pass [checkpoint] to keep snapshotting the
-    resumed run (possibly to the same path). *)
+    including the warm statics store — the result is structurally
+    identical — float-for-float, including the cache {e and} statics
+    counters — to the uninterrupted run, for any worker count. Only
+    version-3 frames load; older ones raise {!Checkpoint.Error}
+    [(Unsupported_version _)]. A [Checkpoint.Churn]-kind snapshot is
+    rejected with {!Checkpoint.Error} [(Unsupported_kind _)] — resume
+    those with the evolution runner. Pass [checkpoint] to keep
+    snapshotting the resumed run (possibly to the same path). *)
 
 val resume_of_payload :
   payload:string ->

@@ -81,19 +81,12 @@ let input_digest params (cfg : Config.t) g0 ~early =
     (Printf.sprintf "sbgp-churn-ckpt-v1\n%s;%d;%h;%h;%d" base params.epochs
        params.growth_fraction params.secure_bias params.growth_seed)
 
+(* Same ladder rung as the engine's: under [degrade] a failed write is
+   skipped and the previous frame kept. *)
 let write_frame ?faults ~degrade ~path ~digest ~round (p : progress) =
-  try
-    Checkpoint.write ?faults ~kind:Checkpoint.Churn ~path ~digest ~round
-      (Marshal.to_string p [])
-  with Checkpoint.Error (Checkpoint.Io m) when degrade ->
-    (* Same ladder rung as the engine's: the tmp+rename protocol kept
-       the previous frame, and losing one snapshot interval beats
-       losing the run. *)
-    Nsutil.Warnings.emit
-      (Printf.sprintf
-         "sbgp: churn: checkpoint write failed (%s); continuing on the previous \
-          snapshot"
-         m)
+  ignore
+    (Checkpoint.write_or_skip ?faults ~kind:Checkpoint.Churn ~degrade ~path ~digest
+       ~round (Marshal.to_string p []))
 
 let run_epochs ~params ~(cfg : Config.t) ~faults ~checkpoint ~digest ~early ~start
     ~g ~statics ~full_isps ~summaries_rev ~engine_payload =
@@ -254,15 +247,11 @@ let run_epochs ~params ~(cfg : Config.t) ~faults ~checkpoint ~digest ~early ~sta
   in
   epoch start g statics full_isps engine_payload
 
-let resolve_faults = function Some _ as f -> f | None -> Faults.of_env ()
-
-let null_digest = String.make 32 '\000'
-
 let run ?checkpoint ?faults params (cfg : Config.t) g0 ~early =
-  let faults = resolve_faults faults in
+  let faults = Faults.or_env faults in
   let digest =
     match checkpoint with
-    | None -> null_digest
+    | None -> Checkpoint.null_digest
     | Some _ -> input_digest params cfg g0 ~early
   in
   run_epochs ~params ~cfg ~faults ~checkpoint ~digest ~early ~start:0 ~g:g0
@@ -270,21 +259,11 @@ let run ?checkpoint ?faults params (cfg : Config.t) g0 ~early =
     ~engine_payload:None
 
 let resume ~from ?checkpoint ?faults params (cfg : Config.t) g0 ~early =
-  let faults = resolve_faults faults in
+  let faults = Faults.or_env faults in
   let digest = input_digest params cfg g0 ~early in
-  let frame = Checkpoint.load_exn ~path:from ~digest in
-  (match frame.Checkpoint.kind with
-  | Checkpoint.Churn -> ()
-  | Checkpoint.Engine ->
-      (* An engine-run snapshot (kind code 0) belongs to
-         [Engine.resume]. *)
-      raise (Checkpoint.Error (Checkpoint.Unsupported_kind 0)));
-  (* Churn payloads embed mid-epoch engine progress, whose layout
-     changed at frame version 3 — older frames cannot be unmarshaled
-     safely under the current types. *)
-  if frame.Checkpoint.version < 3 then
-    raise (Checkpoint.Error (Checkpoint.Unsupported_version frame.Checkpoint.version));
-  let c = (Marshal.from_string frame.Checkpoint.payload 0 : progress) in
+  let _, (c : progress) =
+    Checkpoint.load_payload ~kind:Checkpoint.Churn ~path:from ~digest
+  in
   let g = Graph_io.of_string c.c_graph in
   let statics, engine_payload =
     match c.c_engine with

@@ -14,14 +14,9 @@ module Evolution = struct
     "Section 8.4: deployment across graph-growth epochs (new stubs prefer secure ISPs)"
 
   let run (s : Scenario.t) =
-    (* Re-read the statics kernel here (not at module init) so
-       [--statics-kernel], which exports SBGP_STATICS_KERNEL just
-       before the experiments run, takes effect. *)
-    let cfg =
-      { Core.Config.default with statics_kernel = Bgp.Route_static.kernel_of_env () }
-    in
     let outcome =
-      Evolution_run.run Evolution_run.default_params cfg (Scenario.graph s)
+      Evolution_run.run Evolution_run.default_params Core.Config.default
+        (Scenario.graph s)
         ~early:(Scenario.case_study_adopters s)
     in
     let t =

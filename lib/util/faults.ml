@@ -196,3 +196,5 @@ let of_env () =
       | Error warning ->
           Warnings.emit (Printf.sprintf "warning: ignoring %s: %s" env_var warning);
           None)
+
+let or_env = function Some _ as f -> f | None -> of_env ()

@@ -67,6 +67,10 @@ val of_env : unit -> t option
     one-line stderr warning and yield [None], and entries scoped to a
     site outside {!known_sites} warn (but are kept). *)
 
+val or_env : t option -> t option
+(** The plan a run was given, or {!of_env} when it was given none:
+    how every run entry point resolves its [?faults] argument. *)
+
 val fires : t -> string -> int option
 (** Count one shot at the site (against its site cell, or the default
     cell when none — no cell at all counts nothing); [Some shot]

@@ -218,23 +218,6 @@ let v1_frame ~digest ~round payload =
   let body = Buffer.contents buf in
   body ^ Scrypto.Sha256.digest_string body
 
-let test_v1_frame_still_loads () =
-  with_temp (fun path ->
-      write_file path (v1_frame ~digest:digest_a ~round:9 "old payload");
-      (match Checkpoint.load ~path ~digest:digest_a with
-      | Ok f ->
-          check Alcotest.int "round" 9 f.Checkpoint.round;
-          check Alcotest.string "payload" "old payload" f.Checkpoint.payload;
-          check Alcotest.int "version" 1 f.Checkpoint.version;
-          check Alcotest.bool "v1 implies engine" true
-            (f.Checkpoint.kind = Checkpoint.Engine)
-      | Error e -> Alcotest.fail (Checkpoint.error_to_string e));
-      (* The v1 checks still fail closed. *)
-      write_file path (v1_frame ~digest:digest_b ~round:9 "old payload");
-      expect_error "v1 digest mismatch"
-        (function Checkpoint.Config_mismatch _ -> true | _ -> false)
-        (Checkpoint.load ~path ~digest:digest_a))
-
 (* A version-3 frame built in one piece, the way [v1_frame] builds a
    v1 frame: the streaming writer must put exactly these bytes on
    disk. *)
@@ -441,10 +424,35 @@ let test_resume_rejects_missing_snapshot () =
   | _ -> Alcotest.fail "missing snapshot must not resume"
   | exception Checkpoint.Error (Checkpoint.Io _) -> ()
 
+(* Well-formed v1 and v2 frames (intact footer, matching digest) are
+   refused at the framing layer with a typed error: their payloads
+   were laid out for older engine types. *)
+let test_old_versions_rejected () =
+  with_temp (fun path ->
+      write_file path (v1_frame ~digest:digest_a ~round:9 "old payload");
+      expect_error "v1 frame"
+        (function Checkpoint.Unsupported_version 1 -> true | _ -> false)
+        (Checkpoint.load ~path ~digest:digest_a);
+      let v2 = Bytes.of_string (v3_frame ~kind:0 ~digest:digest_a ~round:9 "old payload") in
+      Bytes.set_uint16_be v2 8 2;
+      let body = Bytes.sub_string v2 0 (Bytes.length v2 - 32) in
+      write_file path (body ^ Scrypto.Sha256.digest_string body);
+      expect_error "v2 frame"
+        (function Checkpoint.Unsupported_version 2 -> true | _ -> false)
+        (Checkpoint.load ~path ~digest:digest_a);
+      (* The engine's resume path raises the same typed error. *)
+      let cfg, statics, weight, state = build_inputs () in
+      let digest = Engine.input_digest cfg statics ~weight ~state in
+      write_file path (v1_frame ~digest ~round:1 "old payload");
+      match Engine.resume ~from:path cfg statics ~weight ~state with
+      | _ -> Alcotest.fail "a v1 frame must not resume"
+      | exception Checkpoint.Error (Checkpoint.Unsupported_version 1) -> ())
+
 let test_input_digest_scope () =
   (* The digest covers everything that shapes results — and nothing
-     that doesn't: worker count and retry budget must not pin a
-     snapshot to the machine that wrote it. *)
+     that doesn't: worker count, retry budget, kernels, watchdog,
+     degradation and statics budget must not pin a snapshot to the
+     machine or settings that wrote it. *)
   let cfg, statics, weight, state = build_inputs () in
   let d0 = Engine.input_digest cfg statics ~weight ~state in
   check Alcotest.int "raw sha256" 32 (String.length d0);
@@ -454,6 +462,24 @@ let test_input_digest_scope () =
   check Alcotest.string "retries ignored"
     d0
     (Engine.input_digest { cfg with retries = 9 } statics ~weight ~state);
+  check Alcotest.string "flip_kernel ignored" d0
+    (Engine.input_digest { cfg with flip_kernel = Core.Config.Flip_full } statics ~weight
+       ~state);
+  check Alcotest.string "statics_kernel ignored" d0
+    (Engine.input_digest
+       { cfg with statics_kernel = Bgp.Route_static.Full }
+       statics ~weight ~state);
+  check Alcotest.string "task_timeout_ms ignored" d0
+    (Engine.input_digest { cfg with task_timeout_ms = 5000 } statics ~weight ~state);
+  check Alcotest.string "degrade ignored" d0
+    (Engine.input_digest { cfg with degrade = not cfg.degrade } statics ~weight ~state);
+  (* The statics budget: the same topology behind a tightly bounded
+     store. *)
+  let bounded =
+    Bgp.Route_static.create ~budget_bytes:4096 (Bgp.Route_static.graph statics)
+  in
+  check Alcotest.string "statics budget ignored" d0
+    (Engine.input_digest cfg bounded ~weight ~state);
   check Alcotest.bool "theta matters" true
     (d0 <> Engine.input_digest { cfg with theta = 0.2 } statics ~weight ~state);
   let weight' = Array.copy weight in
@@ -476,7 +502,7 @@ let () =
           Alcotest.test_case "injected corruption detected" `Quick
             test_injected_corruption_detected;
           Alcotest.test_case "churn kind roundtrip" `Quick test_churn_kind_roundtrip;
-          Alcotest.test_case "v1 frame still loads" `Quick test_v1_frame_still_loads;
+          Alcotest.test_case "v1 and v2 frames rejected" `Quick test_old_versions_rejected;
           Alcotest.test_case "unknown kind rejected" `Quick test_unknown_kind_rejected;
           Alcotest.test_case "streamed frame = hand-built v3 frame" `Quick
             test_streamed_frame_byte_identical;

@@ -661,16 +661,25 @@ let test_serve_mid_run () =
         (fun () ->
           let port = Nsobs.Serve.port srv in
           let stop_flag = Atomic.make false in
+          let started = Atomic.make false in
           let runs = Atomic.make 0 in
           let worker =
             Thread.create
               (fun () ->
                 while not (Atomic.get stop_flag) do
+                  Atomic.set started true;
                   ignore (engine_run ~workers:1 ());
                   Atomic.incr runs
                 done)
               ()
           in
+          (* Scrape only once the worker is inside its first engine run:
+             otherwise a scrape can land before the worker thread is
+             ever scheduled, and the stop flag then ends it having run
+             nothing. *)
+          while not (Atomic.get started) do
+            Thread.yield ()
+          done;
           let scraped = ref false and attempts = ref 0 in
           while (not !scraped) && !attempts < 500 do
             incr attempts;

@@ -5,7 +5,6 @@ module Prng = Nsutil.Prng
 module Csr = Nsutil.Csr
 module Bitset = Nsutil.Bitset
 module Stats = Nsutil.Stats
-module Order = Nsutil.Order
 module Table = Nsutil.Table
 
 let check = Alcotest.check
@@ -237,29 +236,6 @@ let test_stats_qcheck_percentile_bounds =
       let a = Array.of_list l in
       let v = Stats.percentile a p in
       v >= Stats.minimum a -. 1e-9 && v <= Stats.maximum a +. 1e-9)
-
-(* ------------------------------------------------------------------ *)
-(* Order *)
-
-let test_order_sorts_by_key () =
-  let keys = [| 3; 1; 2; 1; 0 |] in
-  let order = Order.by_small_key ~key:(fun i -> keys.(i)) ~max_key:3 5 in
-  check Alcotest.(array int) "stable counting sort" [| 4; 1; 3; 2; 0 |] order
-
-let test_order_out_of_range_last () =
-  let keys = [| 1; -5; 0; 99 |] in
-  let order = Order.by_small_key ~key:(fun i -> keys.(i)) ~max_key:2 4 in
-  check Alcotest.(array int) "out of range last" [| 2; 0; 1; 3 |] order
-
-let test_order_qcheck =
-  qtest "order is a stable sort"
-    QCheck2.Gen.(list_size (int_range 0 60) (int_bound 10))
-    (fun keys ->
-      let a = Array.of_list keys in
-      let n = Array.length a in
-      let order = Order.by_small_key ~key:(fun i -> a.(i)) ~max_key:10 n in
-      let sorted_pairs = List.map (fun i -> (a.(i), i)) (Array.to_list order) in
-      sorted_pairs = List.sort compare sorted_pairs)
 
 (* ------------------------------------------------------------------ *)
 (* Table *)
@@ -561,12 +537,6 @@ let () =
           Alcotest.test_case "fraction" `Quick test_stats_fraction;
           Alcotest.test_case "median does not mutate" `Quick test_stats_median_does_not_mutate;
           test_stats_qcheck_percentile_bounds;
-        ] );
-      ( "order",
-        [
-          Alcotest.test_case "sorts by key" `Quick test_order_sorts_by_key;
-          Alcotest.test_case "out of range last" `Quick test_order_out_of_range_last;
-          test_order_qcheck;
         ] );
       ( "table",
         [
