@@ -1,31 +1,26 @@
-(* The benchmark harness, in two parts:
+(* The engine-kernel benchmark suite.
 
-   1. Regenerate every table and figure of the paper's evaluation on
-      the synthetic Internet (scale with SBGP_N; default 500) —
-      rows/series in paper order, recorded against the paper in
-      EXPERIMENTS.md.
+   --json PATH writes one JSON document (schema "sbgp-bench-v2"): the
+   per-round kernels the engine's wall clock is made of (statics build
+   and repair, checkpoint churn, fused forest sweep, flip evaluation by
+   full recompute and by repair), one full engine run (rounds/s), the
+   telemetry overhead, a statics-budget differential (a bounded store
+   must match the unbounded run), the SHA-256 throughput under every
+   checkpoint footer, and peak RSS. Each kernel reports its fastest
+   repetition. The document opens with its comparison key (schema, n,
+   seed, workers, smoke, nproc).
 
-   2. Bechamel microbenchmarks: one [Test.make] per table/figure,
-      timing that artifact's computational kernel at a small fixed
-      scale so regressions in the routing/engine hot paths are
-      visible.
+   --smoke shrinks the graph and time quotas to seconds scale (N = 120
+   instead of 1000); --scale appends the N-scaling series at
+   1K/10K/36K/100K; --scale-smoke runs the N = 10K bit-identity slice
+   instead of the suite. --compare BASELINE gates the fresh document
+   against a committed one (see Gate). --workers N pins the
+   multi-worker kernels' domain count (default:
+   Parallel.Pool.default_workers); the sweep kernels also run at
+   workers 1. --trace/--metrics turn the telemetry collectors on, and
+   the suite self-validates what they write.
 
-   3. --json PATH: a machine-readable engine-kernel suite written as
-      BENCH_engine.json (schema "sbgp-bench-v1"): the per-round
-      kernels the engine's wall clock is made of (statics build,
-      fused forest sweep, flip probe) at workers 1 and the configured
-      count, one full engine run (rounds/s), a statics-budget
-      differential (bounded store must match the unbounded run), the
-      SHA-256 throughput under every checkpoint footer
-      (sha256_mb_per_s), and peak RSS. Runs instead of parts 1-2. --smoke shrinks the graph
-      and time quotas to seconds-scale so the suite can gate
-      [dune runtest] via the [bench-smoke] alias.
-
-   Flags: --bench-only skips part 1, --no-bench skips part 2,
-   --workers N pins the engine sweep's worker-domain count (default:
-   Parallel.Pool.default_workers, i.e. SBGP_WORKERS or one per spare
-   core). The engine kernels additionally time a fixed workers=1 run
-   so the parallel overhead/speedup at the chosen count is visible. *)
+   The paper's tables and figures come from [sbgp_sim exp]. *)
 
 let flag name = Array.exists (String.equal name) Sys.argv
 
@@ -48,290 +43,24 @@ let str_flag name =
 
 let workers = max 1 (int_flag "--workers" (Parallel.Pool.default_workers ()))
 
-(* ------------------------------------------------------------------ *)
-(* Part 1: the paper's tables and figures. *)
-
-let run_experiments () =
-  let n = Experiments.Scenario.default_n () in
-  Printf.printf
-    "=== Reproducing the paper's evaluation (synthetic Internet, N = %d; set SBGP_N to \
-     rescale) ===\n\n%!"
-    n;
-  let scenario = Experiments.Scenario.create ~n () in
-  Experiments.Registry.run_streaming scenario (fun e table dt ->
-      Printf.printf "== %s: %s  [%.1fs]\n%s\n%!" e.id e.title dt
-        (Nsutil.Table.to_string table))
-
-(* ------------------------------------------------------------------ *)
-(* Part 2: Bechamel kernels. *)
-
-let kernels () =
-  let open Bechamel in
-  (* Small fixed-scale setup shared by the kernels (prepared outside
-     the staged functions; per-destination caches are primed so the
-     kernels measure steady-state work). *)
-  let scenario = Experiments.Scenario.create ~n:120 ~seed:3 () in
-  let g = Experiments.Scenario.graph scenario in
-  let statics = scenario.statics in
-  let n = Asgraph.Graph.n g in
-  for d = 0 to n - 1 do
-    ignore (Bgp.Route_static.get statics d)
-  done;
-  let aug_statics = Lazy.force scenario.statics_aug in
-  for d = 0 to n - 1 do
-    ignore (Bgp.Route_static.get aug_statics d)
-  done;
-  let early = Experiments.Scenario.case_study_adopters scenario in
-  let cfg_case = { Core.Config.default with workers } in
-  let weight = Experiments.Scenario.weights scenario cfg_case in
-  let engine_run ?(augmented = false) cfg early =
-    let stats = if augmented then aug_statics else statics in
-    let graph = Bgp.Route_static.graph stats in
-    let state =
-      Core.State.create graph ~early ~simplex:(not cfg.Core.Config.disable_simplex)
-        ~secp:(not cfg.Core.Config.disable_secp)
-    in
-    Core.Engine.run cfg stats ~weight ~state
-  in
-  let remorse = Gadgets.Remorse.build () in
-  let remorse_statics = Bgp.Route_static.create remorse.graph in
-  let chicken = Gadgets.Chicken.build () in
-  let chicken_statics = Bgp.Route_static.create chicken.graph in
-  let setcover =
-    Gadgets.Setcover.build
-      Gadgets.Setcover.
-        { universe = 6; subsets = [ [| 0; 1; 2 |]; [| 2; 3 |]; [| 3; 4; 5 |] ] }
-  in
-  let scratch = Bgp.Forest.make_scratch n in
-  let zeros = Bytes.make n '\000' in
-  [
-    Test.make ~name:"table1/diamond-scan"
-      (Staged.stage (fun () -> Core.Analyses.diamonds statics ~early));
-    Test.make ~name:"table2/graph-summary"
-      (Staged.stage (fun () -> Asgraph.Metrics.summary g));
-    Test.make ~name:"table3/cp-path-lengths"
-      (Staged.stage (fun () ->
-           List.map
-             (fun cp -> Bgp.Route_static.mean_path_length statics ~from:cp)
-             (Experiments.Scenario.cps scenario)));
-    Test.make ~name:"table4/degrees"
-      (Staged.stage (fun () -> Asgraph.Metrics.degree_array g));
-    Test.make ~name:"fig3-7/case-study-run"
-      (Staged.stage (fun () -> engine_run cfg_case early));
-    (* The same run pinned to one worker: the gap against the row
-       above is the sweep's parallel speedup (or overhead). *)
-    Test.make ~name:"engine/sweep-workers-1"
-      (Staged.stage (fun () -> engine_run { cfg_case with workers = 1 } early));
-    Test.make
-      ~name:(Printf.sprintf "engine/sweep-workers-%d" workers)
-      (Staged.stage (fun () -> engine_run cfg_case early));
-    Test.make ~name:"fig8/theta-30pc-run"
-      (Staged.stage (fun () ->
-           engine_run { cfg_case with theta = 0.3; theta_off = 0.3 } early));
-    Test.make ~name:"fig9/secure-path-count"
-      (Staged.stage (fun () ->
-           let state = Core.State.create g ~early in
-           Core.Analyses.secure_path_stats cfg_case statics state ~weight));
-    Test.make ~name:"fig10/tiebreak-distribution"
-      (Staged.stage (fun () ->
-           Core.Analyses.tiebreak_distribution statics ~among:(fun _ -> true)));
-    Test.make ~name:"fig11/no-stub-tiebreak-run"
-      (Staged.stage (fun () -> engine_run { cfg_case with stub_tiebreak = false } early));
-    Test.make ~name:"fig12/augmented-graph-run"
-      (Staged.stage (fun () -> engine_run ~augmented:true cfg_case early));
-    Test.make ~name:"fig13/remorse-dynamics"
-      (Staged.stage (fun () ->
-           let state = Gadgets.Remorse.initial_state remorse in
-           Core.Engine.run Gadgets.Remorse.config remorse_statics ~weight:remorse.weight
-             ~state));
-    Test.make ~name:"fig14/theta-0-run"
-      (Staged.stage (fun () -> engine_run { cfg_case with theta = 0.0 } early));
-    Test.make ~name:"oscillation/chicken-dynamics"
-      (Staged.stage (fun () ->
-           let state =
-             Core.State.create chicken.graph ~early:chicken.early ~frozen:chicken.frozen
-           in
-           Core.Engine.run Gadgets.Chicken.config chicken_statics ~weight:chicken.weight
-             ~state));
-    Test.make ~name:"setcover/reduction-run"
-      (Staged.stage (fun () ->
-           Gadgets.Setcover.secure_after setcover ~early:[ setcover.s1.(0) ]));
-    Test.make ~name:"attacks/appendix-b"
-      (Staged.stage (fun () ->
-           ( Bgpsec.Attack.appendix_b ~prefer_partial:false,
-             Bgpsec.Attack.appendix_b ~prefer_partial:true )));
-    Test.make ~name:"ablations/no-secp-run"
-      (Staged.stage (fun () -> engine_run { cfg_case with disable_secp = true } early));
-    Test.make ~name:"resilience/one-hijack"
-      (Staged.stage (fun () ->
-           let state = Core.State.create g ~early in
-           Core.Resilience.simulate_attack statics state ~stub_tiebreak:true
-             ~tiebreak:cfg_case.tiebreak ~attacker:0 ~victim:(n - 1)));
-    Test.make ~name:"secpriority/security-first-hijack"
-      (Staged.stage (fun () ->
-           let state = Core.State.create g ~early in
-           Core.Resilience.simulate_attack_ranked statics state ~stub_tiebreak:true
-             ~tiebreak:cfg_case.tiebreak ~position:Bgp.Flexsim.Before_lp ~attacker:0
-             ~victim:(n - 1)));
-    Test.make ~name:"pricing/customer-volumes"
-      (Staged.stage (fun () ->
-           let state = Core.State.create g ~early in
-           Core.Utility.customer_volumes
-             { cfg_case with model = Core.Config.Incoming }
-             statics state ~weight));
-    Test.make ~name:"jitter/jittered-run"
-      (Staged.stage (fun () -> engine_run { cfg_case with theta_jitter = 1.0 } early));
-    Test.make ~name:"evolution/grow-15pc"
-      (Staged.stage (fun () ->
-           Topology.Evolve.grow g ~new_stubs:(n / 7) ~secure_bias:2.0
-             ~is_secure:(fun i -> i mod 2 = 0)
-             ~seed:3));
-    Test.make ~name:"selector/k3-single-on"
-      (Staged.stage
-         (let sel = Gadgets.Selector.build ~k:3 () in
-          fun () -> Gadgets.Selector.run_from sel ~on:[ 0 ]));
-    (* Kernel primitives under everything above. *)
-    Test.make ~name:"kernel/route-static-one-dest"
-      (Staged.stage (fun () -> Bgp.Route_static.compute g (n - 1)));
-    Test.make ~name:"kernel/forest-one-dest"
-      (Staged.stage (fun () ->
-           Bgp.Forest.compute
-             (Bgp.Route_static.get statics (n - 1))
-             ~tiebreak:cfg_case.tiebreak ~secure:zeros ~use_secp:zeros ~weight scratch));
-    Test.make ~name:"kernel/sha256-1KiB"
-      (Staged.stage
-         (let buf = String.make 1024 'x' in
-          fun () -> Scrypto.Sha256.digest_string buf));
-    Test.make ~name:"kernel/checkpoint-write-load-32KiB"
-      (Staged.stage
-         (let digest = Scrypto.Sha256.digest_string "bench" in
-          let payload = String.make 32768 'p' in
-          fun () ->
-            Core.Checkpoint.write ~path:"ckpt.bench" ~digest ~round:1 payload;
-            Core.Checkpoint.load_exn ~path:"ckpt.bench" ~digest));
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  Printf.printf "=== Bechamel kernels (one per table/figure; N = 120) ===\n\n%!";
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let table = Nsutil.Table.create ~header:[ "kernel"; "time/run"; "r^2" ] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| "run" |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name ols ->
-          let time_ns =
-            match Analyze.OLS.estimates ols with Some (t :: _) -> t | _ -> nan
-          in
-          let pretty =
-            if Float.is_nan time_ns then "-"
-            else if time_ns > 1e9 then Printf.sprintf "%.2f s" (time_ns /. 1e9)
-            else if time_ns > 1e6 then Printf.sprintf "%.2f ms" (time_ns /. 1e6)
-            else if time_ns > 1e3 then Printf.sprintf "%.2f us" (time_ns /. 1e3)
-            else Printf.sprintf "%.0f ns" time_ns
-          in
-          let r2 =
-            match Analyze.OLS.r_square ols with
-            | Some r -> Printf.sprintf "%.3f" r
-            | None -> "-"
-          in
-          Nsutil.Table.add_row table [ name; pretty; r2 ])
-        ols)
-    (kernels ());
-  Nsutil.Table.print table
-
-(* One case-study run per worker count, with the incremental sweep's
-   cache effectiveness — complements the Bechamel rows with the stats
-   the timing numbers depend on. *)
-let report_engine_sweep () =
-  let scenario = Experiments.Scenario.create ~n:120 ~seed:3 () in
-  let g = Experiments.Scenario.graph scenario in
-  let early = Experiments.Scenario.case_study_adopters scenario in
-  let weight = Experiments.Scenario.weights scenario Core.Config.default in
-  Printf.printf "=== Engine sweep: workers x incremental cache (N = 120) ===\n\n%!";
-  List.iter
-    (fun theta ->
-      List.iter
-        (fun w ->
-          let cfg = { Core.Config.default with workers = w; theta; theta_off = theta } in
-          let state = Core.State.create g ~early in
-          let t0 = Unix.gettimeofday () in
-          let result = Core.Engine.run cfg scenario.statics ~weight ~state in
-          let dt = Unix.gettimeofday () -. t0 in
-          Printf.printf
-            "theta=%.2f workers=%d: %.3fs, %d rounds; %d dest recomputes, %d cache \
-             hits (%.1f%% hit rate)\n%!"
-            theta w dt
-            (Core.Engine.rounds_run result)
-            result.dest_recomputed result.dest_reused
-            (100.0 *. Core.Engine.cache_hit_rate result))
-        (if workers = 1 then [ 1 ] else [ 1; workers ]))
-    [ 0.05; 0.30 ];
-  print_newline ()
-
-(* Fault tolerance: the case-study run with injected worker faults and
-   the default retry budget, against the clean run — the supervision
-   layer must absorb the faults without changing a single float. *)
-let report_fault_tolerance () =
-  let scenario = Experiments.Scenario.create ~n:120 ~seed:3 () in
-  let g = Experiments.Scenario.graph scenario in
-  let early = Experiments.Scenario.case_study_adopters scenario in
-  let weight = Experiments.Scenario.weights scenario Core.Config.default in
-  let cfg = { Core.Config.default with workers } in
-  let run ?faults () =
-    let state = Core.State.create g ~early in
-    let t0 = Unix.gettimeofday () in
-    let r = Core.Engine.run ?faults cfg scenario.statics ~weight ~state in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  Printf.printf "=== Fault tolerance: injected worker faults vs clean run (N = 120) ===\n\n%!";
-  let clean, dt_clean = run () in
-  let faults = Nsutil.Faults.create ~rate:0.02 ~budget:cfg.retries ~seed:11 () in
-  let faulted, dt_faulted = run ~faults () in
-  let identical =
-    clean.Core.Engine.rounds = faulted.Core.Engine.rounds
-    && clean.baseline = faulted.baseline
-    && clean.termination = faulted.termination
-    && clean.dest_recomputed = faulted.dest_recomputed
-    && clean.dest_reused = faulted.dest_reused
-  in
-  Printf.printf
-    "clean: %.3fs; faulted: %.3fs (%d of %d shots fired, retry budget %d); identical \
-     results: %b\n\n%!"
-    dt_clean dt_faulted
-    (Nsutil.Faults.fired faults)
-    (Nsutil.Faults.shots faults)
-    cfg.retries identical;
-  if not identical then begin
-    prerr_endline "bench: faulted run diverged from clean run";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Part 3: machine-readable engine-kernel suite (--json PATH). *)
-
 let smoke = flag "--smoke"
 
 (* Warm up once, then repeat until both floors are met; returns
-   (total seconds, repetitions). Hand-rolled rather than Bechamel so
-   each repetition is a full sweep-scale kernel, not a staged
-   nanosecond probe. *)
+   (fastest repetition's seconds, repetitions). The fastest
+   repetition, not the mean: a repetition a busy neighbour preempted
+   only ever reads slower, so the minimum is the figure that repeats
+   from run to run. *)
 let time_kernel ~min_time ~min_reps f =
   ignore (Sys.opaque_identity (f ()));
-  let t0 = Unix.gettimeofday () in
-  let reps = ref 0 in
-  while !reps < min_reps || Unix.gettimeofday () -. t0 < min_time do
+  let t_start = Unix.gettimeofday () in
+  let reps = ref 0 and best = ref infinity in
+  while !reps < min_reps || Unix.gettimeofday () -. t_start < min_time do
+    let t0 = Unix.gettimeofday () in
     ignore (Sys.opaque_identity (f ()));
+    best := Float.min !best (Unix.gettimeofday () -. t0);
     incr reps
   done;
-  (Unix.gettimeofday () -. t0, !reps)
+  (!best, !reps)
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -415,92 +144,28 @@ let validate_metrics path ~mid =
     @ if workers > 1 then [ "pool_domain_spawn_total" ] else []);
   Printf.printf "metrics self-check: %d counters, all monotone\n%!" (List.length after)
 
-(* --compare PATH: regression gate against a committed
-   BENCH_engine.json. ns_per_op is scale-normalized, so a seconds-scale
-   smoke run can be diffed against the committed full-scale numbers;
-   kernels present in only one file (the w4 rows when the smoke run
-   uses fewer workers, say) are skipped. A fresh kernel slower than
-   tolerance x committed fails the run; SBGP_BENCH_TOLERANCE overrides
-   the default 2.0. *)
-let kernel_ns ~path json =
-  match Option.bind (Nsobs.Jsonv.member "kernels" json) Nsobs.Jsonv.to_list with
-  | None -> die "%s has no kernels array" path
-  | Some ks ->
-      List.filter_map
-        (fun k ->
-          match
-            ( Option.bind (Nsobs.Jsonv.member "name" k) Nsobs.Jsonv.to_string,
-              Option.bind (Nsobs.Jsonv.member "ns_per_op" k) Nsobs.Jsonv.to_float )
-          with
-          | Some name, Some ns -> Some (name, ns)
-          | _ -> None)
-        ks
-
-let compare_bench ~fresh_path ~committed_path =
-  let tolerance =
-    match Option.bind (Sys.getenv_opt "SBGP_BENCH_TOLERANCE") float_of_string_opt with
-    | Some t when t > 0.0 -> t
-    | _ -> 2.0
-  in
+(* --compare PATH: the regression gate (Gate) against a committed
+   document of the same key. Exits 1 when the baseline is refused or
+   any check fails. *)
+let compare_bench ~fresh_path ~baseline_path =
   let parse path =
-    let content = In_channel.with_open_text path In_channel.input_all in
-    match Nsobs.Jsonv.parse content with
+    match Nsobs.Jsonv.parse (In_channel.with_open_text path In_channel.input_all) with
     | Ok j -> j
     | Error e -> die "cannot parse %s: %s" path e
   in
-  let fresh_json = parse fresh_path and committed_json = parse committed_path in
-  let fresh = kernel_ns ~path:fresh_path fresh_json in
-  let committed = kernel_ns ~path:committed_path committed_json in
-  let checked = ref 0 and failed = ref [] in
-  List.iter
-    (fun (name, ns) ->
-      match List.assoc_opt name committed with
-      | None -> ()
-      | Some ns0 ->
-          incr checked;
-          let ratio = if ns0 > 0.0 then ns /. ns0 else 0.0 in
-          Printf.printf "compare %-16s %12.1f vs committed %12.1f ns/op (%.2fx)\n%!" name
-            ns ns0 ratio;
-          if ratio > tolerance then failed := (name, ratio) :: !failed)
-    fresh;
-  if !checked = 0 then
-    die "no kernels in common between %s and %s" fresh_path committed_path;
-  (* Peak-RSS gate: memory regressions (a dense buffer sneaking back
-     into the sweep, a store that stops evicting) do not show up in
-     ns/op, so the high-water mark is gated like a kernel, under its
-     own tolerance. Only meaningful when both runs are the same shape;
-     a smoke run against a committed full-scale file sits far below
-     1.0x and passes trivially. *)
-  let rss_tolerance =
-    match Option.bind (Sys.getenv_opt "SBGP_RSS_TOLERANCE") float_of_string_opt with
-    | Some t when t > 0.0 -> t
-    | _ -> 2.0
-  in
-  let rss_of json =
-    Option.bind (Nsobs.Jsonv.member "peak_rss_kb" json) Nsobs.Jsonv.to_float
-  in
-  (match (rss_of fresh_json, rss_of committed_json) with
-  | Some fresh_kb, Some committed_kb when fresh_kb > 0.0 && committed_kb > 0.0 ->
-      let ratio = fresh_kb /. committed_kb in
-      Printf.printf "compare %-16s %12.0f vs committed %12.0f kb (%.2fx)\n%!"
-        "peak_rss" fresh_kb committed_kb ratio;
-      if ratio > rss_tolerance then begin
-        Printf.eprintf "bench: peak RSS regressed %.2fx (> %.1fx) vs %s\n" ratio
-          rss_tolerance committed_path;
-        exit 1
-      end
-  | _ -> ());
-  match !failed with
-  | [] ->
-      Printf.printf "bench compare: %d kernels within %.1fx of %s\n%!" !checked tolerance
-        committed_path
-  | l ->
-      List.iter
-        (fun (name, r) ->
-          Printf.eprintf "bench: %s regressed %.2fx (> %.1fx) vs %s\n" name r tolerance
-            committed_path)
-        l;
-      exit 1
+  match Gate.check ~fresh:(parse fresh_path) ~baseline:(parse baseline_path) with
+  | Refused mismatches ->
+      List.iter (Printf.eprintf "bench: key mismatch: %s\n") mismatches;
+      die "refusing to compare %s against %s: the runs have different keys" fresh_path
+        baseline_path
+  | Checked { lines; failures = [] } ->
+      List.iter print_endline lines;
+      Printf.printf "bench compare: all within %.1fx of %s\n%!" Gate.kernel_tolerance
+        baseline_path
+  | Checked { lines; failures } ->
+      List.iter print_endline lines;
+      List.iter (Printf.eprintf "bench: %s\n") failures;
+      die "%d check(s) failed against %s" (List.length failures) baseline_path
 
 (* ------------------------------------------------------------------ *)
 (* N-scaling series: paper-shape graphs (Params.with_n on the default
@@ -606,9 +271,13 @@ let run_scale_smoke ~path =
       rss_budget_mb
 
 let run_json_bench ~path =
-  let n = int_flag "--n" (if smoke then 120 else 1000) in
+  let n = if smoke then 120 else 1000 in
   let seed = 3 in
-  let min_time = if smoke then 0.05 else 1.0 in
+  (* The smoke floor buys each gated kernel enough repetitions that
+     its fastest one repeats from run to run: at 0.05 s, seven runs
+     spread up to 1.7x per kernel, and a kernel doing 3x the work
+     passed the 2x gate in one run of five. *)
+  let min_time = if smoke then 0.25 else 1.0 in
   let min_reps = 3 in
   let cfg =
     { Core.Config.default with workers; max_rounds = (if smoke then 4 else 100) }
@@ -630,13 +299,15 @@ let run_json_bench ~path =
   let secure = Core.State.secure_bytes probe_state in
   let use_secp = Core.State.use_secp_bytes probe_state ~stub_tiebreak:cfg.stub_tiebreak in
   let kernels = ref [] in
+  let record_best name ~ops ~reps best =
+    let ns = best *. 1e9 /. float_of_int (max 1 ops) in
+    Printf.printf "%-24s %10.3f ms/rep %12.1f ns/op  (best of %d)\n%!" name (best *. 1e3)
+      ns reps;
+    kernels := (name, ops, reps, best, ns) :: !kernels
+  in
   let record name ~ops f =
-    let total, reps = time_kernel ~min_time ~min_reps f in
-    let per_rep = total /. float_of_int reps in
-    let ns = per_rep *. 1e9 /. float_of_int (max 1 ops) in
-    Printf.printf "%-20s %10.3f ms/rep %12.1f ns/op  (%d reps)\n%!" name
-      (per_rep *. 1e3) ns reps;
-    kernels := (name, ops, reps, per_rep, ns) :: !kernels
+    let best, reps = time_kernel ~min_time ~min_reps f in
+    record_best name ~ops ~reps best
   in
   (* Statics build: the full three-stage static-route construction for
      every destination, fresh store each repetition. *)
@@ -687,10 +358,7 @@ let run_json_bench ~path =
      snapshot the warm store, frame and write it as a churn record
      through the checksummed checkpoint protocol, then load it back
      and restore a store from it (the resume half). ns/op is per
-     snapshotted destination, which keeps the smoke-vs-committed
-     compare roughly scale-normalized (each record also grows with n,
-     so the per-destination figure still rises with scale — compare
-     ratios sit below 1 like statics_build's). *)
+     snapshotted destination. *)
   let ckpt_path = Filename.temp_file "sbgp_bench_ckpt" ".snap" in
   let ckpt_digest = Scrypto.Sha256.digest_string "bench-churn-checkpoint" in
   record "checkpoint_churn" ~ops:n (fun () ->
@@ -705,13 +373,10 @@ let run_json_bench ~path =
      footer runs through, on one 5 MiB buffer, best of 5. *)
   let sha256_mb_per_s =
     let buf = String.make (5 * 1024 * 1024) 'h' in
-    let best = ref infinity in
-    for _ = 1 to 5 do
-      let t0 = Unix.gettimeofday () in
-      ignore (Sys.opaque_identity (Scrypto.Sha256.digest_string buf));
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    float_of_int (String.length buf) /. 1e6 /. !best
+    let best, _ =
+      time_kernel ~min_time:0.0 ~min_reps:5 (fun () -> Scrypto.Sha256.digest_string buf)
+    in
+    float_of_int (String.length buf) /. 1e6 /. best
   in
   Printf.printf "%-20s %10.1f MB/s  (5 MiB, best of 5)\n%!" "sha256_mb_per_s"
     sha256_mb_per_s;
@@ -736,9 +401,7 @@ let run_json_bench ~path =
   if workers > 1 then
     record (Printf.sprintf "forest_sweep_w%d" workers) ~ops:n (sweep workers);
   (* Fan-out proof: the multi-worker rows above are only honest if
-     distinct domains actually run chunks (on a single-core host the
-     timings are near-identical either way, which is expected hardware
-     behavior, not a scheduling bug). Each worker's [init] CAS-pushes
+     distinct domains actually run chunks. Each worker's [init] CAS-pushes
      its domain id; claiming workers > 1 with every chunk on one
      domain is turned into a hard failure. *)
   let fanout_domains =
@@ -759,55 +422,6 @@ let run_json_bench ~path =
     fanout_domains;
   if workers > 1 && fanout_domains < 2 then
     die "sweep claims %d workers but only %d domain participated" workers fanout_domains;
-  (* Flip probe: for every destination, would any of <= 64 candidate
-     ISPs' flips change the routing — a scan of the candidate's tie
-     row for a secure member, as in the engine's incremental
-     invalidation. *)
-  let candidates =
-    let acc = ref [] and c = ref 0 in
-    for i = 0 to n - 1 do
-      if !c < 64 && Asgraph.Graph.is_isp g i then begin
-        incr c;
-        acc := i :: !acc
-      end
-    done;
-    Array.of_list (List.rev !acc)
-  in
-  let ncand = Array.length candidates in
-  (* Written as allocation-free loops: a per-candidate closure would
-     drag stop-the-world minor GCs into the measurement. *)
-  let probe_dest hits d =
-    let info = Bgp.Route_static.get statics d in
-    let tie_off = info.Bgp.Route_static.tie_off in
-    let tie = info.Bgp.Route_static.tie in
-    let j = ref 0 and found = ref false in
-    for k = 0 to ncand - 1 do
-      let nc = Array.unsafe_get candidates k in
-      if Bgp.Route_static.reachable info nc then begin
-        let hi = Nsutil.I32.unsafe_get tie_off (nc + 1) in
-        j := Nsutil.I32.unsafe_get tie_off nc;
-        found := false;
-        while (not !found) && !j < hi do
-          if Bytes.unsafe_get secure (Nsutil.I32.unsafe_get tie !j) = '\001' then
-            found := true
-          else incr j
-        done;
-        if !found then incr hits
-      end
-    done
-  in
-  let flip w () =
-    Parallel.Pool.map_reduce_dynamic_supervised Parallel.Pool.no_supervision ~workers:w
-      ~tasks:n ~grain:8
-      ~init:(fun () -> ref 0)
-      ~task:probe_dest
-      ~combine:(fun a b ->
-        a := !a + !b;
-        a)
-  in
-  let pairs = n * ncand in
-  record "flip_probe_w1" ~ops:pairs (flip 1);
-  if workers > 1 then record (Printf.sprintf "flip_probe_w%d" workers) ~ops:pairs (flip workers);
   (* Flip kernels: the engine's per-candidate probe, both ways. Up to
      32 insecure ISP candidates; each probe flips the candidate's
      secure/use_secp bytes, evaluates its utility contribution under
@@ -922,31 +536,21 @@ let run_json_bench ~path =
      journal to a scratch file, loopback scrape endpoint — against
      everything off. The instrumented run's per-round ns lands in the
      kernels array, so --compare tracks it like any other kernel; the
-     on-vs-off ratio is additionally hard-gated at full scale (< 3%,
-     SBGP_OBS_TOLERANCE overrides). Best-of-k walls on both arms keep
-     scheduler noise out of a percent-level comparison, and the two
-     arms must agree on rounds, baseline and termination: telemetry
-     is observational or it is a bug. *)
+     on-vs-off ratio is additionally hard-gated at full scale (< 3%).
+     Fastest-repetition walls on both arms, under the same time floor
+     as the other kernels, keep scheduler noise out of a
+     percent-level comparison (a fixed three repetitions of the 3 ms
+     smoke run once read 2.9x its baseline), and the two arms must
+     agree on rounds, baseline and termination: telemetry is
+     observational or it is a bug. *)
   let obs_engine () =
     let state = Core.State.create g ~early in
     Core.Engine.run cfg statics ~weight ~state
   in
-  let best_of k f =
-    ignore (Sys.opaque_identity (f ()));
-    let best = ref infinity in
-    for _ = 1 to k do
-      let t0 = Unix.gettimeofday () in
-      ignore (Sys.opaque_identity (f ()));
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let obs_reps = 3 in
   let metrics_were = Nsobs.Metrics.enabled () in
   Nsobs.Metrics.set_enabled false;
   let result_off = obs_engine () in
-  let wall_off = best_of obs_reps obs_engine in
+  let wall_off, _ = time_kernel ~min_time ~min_reps obs_engine in
   let journal_tmp, journal_opened =
     if Nsobs.Journal.enabled () then ("", false)
     else begin
@@ -966,7 +570,7 @@ let run_json_bench ~path =
         None
   in
   let result_on = obs_engine () in
-  let wall_on = best_of obs_reps obs_engine in
+  let wall_on, obs_reps = time_kernel ~min_time ~min_reps obs_engine in
   Option.iter Nsobs.Serve.stop server;
   if journal_opened then begin
     Nsobs.Journal.close ();
@@ -980,16 +584,9 @@ let run_json_bench ~path =
       && result_off.termination = result_on.termination)
   then die "obs_overhead: telemetry-on engine run diverged from telemetry-off";
   let obs_rounds = max 1 (Core.Engine.rounds_run result_on) in
-  let ns_on = wall_on *. 1e9 /. float_of_int obs_rounds in
-  Printf.printf "%-20s %10.3f ms/rep %12.1f ns/op  (%d reps)\n%!" "obs_overhead"
-    (wall_on *. 1e3) ns_on obs_reps;
-  kernels := ("obs_overhead", obs_rounds, obs_reps, wall_on, ns_on) :: !kernels;
+  record_best "obs_overhead" ~ops:obs_rounds ~reps:obs_reps wall_on;
   let overhead = (wall_on -. wall_off) /. wall_off in
-  let obs_tolerance =
-    match Option.bind (Sys.getenv_opt "SBGP_OBS_TOLERANCE") float_of_string_opt with
-    | Some t when t > 0.0 -> t
-    | _ -> 0.03
-  in
+  let obs_tolerance = 0.03 in
   Printf.printf
     "telemetry overhead: %.3f s off vs %.3f s on (%+.2f%%), identical dynamics\n%!"
     wall_off wall_on (100.0 *. overhead);
@@ -1008,10 +605,7 @@ let run_json_bench ~path =
     let record_once name ~ops f =
       let t0 = Unix.gettimeofday () in
       let v = f () in
-      let dt = Unix.gettimeofday () -. t0 in
-      let ns = dt *. 1e9 /. float_of_int (max 1 ops) in
-      Printf.printf "%-24s %10.3f ms/rep %12.1f ns/op  (1 rep)\n%!" name (dt *. 1e3) ns;
-      kernels := (name, ops, 1, dt, ns) :: !kernels;
+      record_best name ~ops ~reps:1 (Unix.gettimeofday () -. t0);
       v
     in
     let roundtrip sn sg =
@@ -1039,11 +633,7 @@ let run_json_bench ~path =
         let r = scale_engine ?budget_mb ~w:workers sg ~early in
         let wall = Unix.gettimeofday () -. t0 in
         let rr = max 1 (Core.Engine.rounds_run r) in
-        let name = Printf.sprintf "scale_engine_n%d" sn in
-        let ns = wall *. 1e9 /. float_of_int (sn * rr) in
-        Printf.printf "%-24s %10.3f ms/rep %12.1f ns/op  (1 rep)\n%!" name (wall *. 1e3)
-          ns;
-        kernels := (name, sn * rr, 1, wall, ns) :: !kernels;
+        record_best (Printf.sprintf "scale_engine_n%d" sn) ~ops:(sn * rr) ~reps:1 wall;
         (* Identity slice at the cheapest size: the same destinations
            under workers 1 and under workers 4 + a budget tight enough
            to stream must not move a float. The 36K identity run is
@@ -1091,20 +681,22 @@ let run_json_bench ~path =
   let buf = Buffer.create 2048 in
   let b fmt = Printf.bprintf buf fmt in
   b "{\n";
-  b "  \"schema\": \"sbgp-bench-v1\",\n";
+  (* The comparison key (Gate.key_fields). *)
+  b "  \"schema\": \"sbgp-bench-v2\",\n";
   b "  \"n\": %d,\n" n;
   b "  \"seed\": %d,\n" seed;
   b "  \"workers\": %d,\n" workers;
   b "  \"smoke\": %b,\n" smoke;
+  b "  \"nproc\": %d,\n" (Domain.recommended_domain_count ());
   b "  \"kernels\": [\n";
   let ordered = List.rev !kernels in
   let nk = List.length ordered in
   List.iteri
-    (fun i (name, ops, reps, per_rep, ns) ->
+    (fun i (name, ops, reps, best, ns) ->
       b
-        "    {\"name\": \"%s\", \"ops_per_rep\": %d, \"reps\": %d, \"s_per_rep\": \
+        "    {\"name\": \"%s\", \"ops_per_rep\": %d, \"reps\": %d, \"best_s\": \
          %.6f, \"ns_per_op\": %.1f}%s\n"
-        name ops reps per_rep ns
+        name ops reps best ns
         (if i = nk - 1 then "" else ","))
     ordered;
   b "  ],\n";
@@ -1153,12 +745,12 @@ let run_json_bench ~path =
         exit 1
       end)
     ([
-      "\"schema\": \"sbgp-bench-v1\"";
+      "\"schema\": \"sbgp-bench-v2\"";
+      "\"nproc\"";
       "\"statics_build\"";
       "\"statics_repair\"";
       "\"checkpoint_churn\"";
       "\"forest_sweep_w1\"";
-      "\"flip_probe_w1\"";
       "\"flip_full_w1\"";
       "\"flip_repair_w1\"";
       "\"obs_overhead\"";
@@ -1190,7 +782,7 @@ let run_json_bench ~path =
       Option.iter validate_trace t;
       Option.iter (validate_metrics ~mid:counters_mid) m);
   Option.iter
-    (fun committed -> compare_bench ~fresh_path:path ~committed_path:committed)
+    (fun baseline -> compare_bench ~fresh_path:path ~baseline_path:baseline)
     (str_flag "--compare")
 
 let () =
@@ -1201,10 +793,8 @@ let () =
   (match str_flag "--json" with
   | Some path -> if flag "--scale-smoke" then run_scale_smoke ~path else run_json_bench ~path
   | None ->
-      if not (flag "--bench-only") then run_experiments ();
-      if not (flag "--no-bench") then begin
-        report_engine_sweep ();
-        report_fault_tolerance ();
-        run_bechamel ()
-      end);
+      die
+        "usage: main.exe --json PATH [--smoke | --scale | --scale-smoke] [--workers N] \
+         [--compare BASELINE] [--trace FILE] [--metrics FILE]; the paper's tables come from \
+         sbgp_sim exp");
   Printf.printf "\ntotal wall clock: %.1fs\n" (Unix.gettimeofday () -. t0)
